@@ -122,8 +122,8 @@ runPolicy(DetectPolicy policy, const std::vector<AppProfile> &apps,
 
     PolicyRun run;
     run.name = detectPolicyName(policy);
-    const auto cells = runMatrixProfiled(apps, { scheme }, config,
-                                         run.profile, events, 0);
+    const auto cells =
+        runMatrix(apps, { scheme }, config, events, 0, &run.profile);
     run.seconds = run.profile.wallSeconds;
     run.cells = cells.size();
 

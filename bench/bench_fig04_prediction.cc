@@ -72,16 +72,14 @@ main()
     const unsigned windows[] = { 1, 3, 5, 8 };
     const std::vector<AppProfile> &apps = appCatalog();
     std::vector<std::array<double, 4>> accs(apps.size());
-    RunnerProfile profile;
-    parallelForProfiled(
+    const RunnerProfile profile = parallelFor(
         apps.size(),
         [&](std::size_t a) {
             const std::vector<bool> states =
                 dupStates(apps[a], experimentEvents());
             for (std::size_t w = 0; w < 4; ++w)
                 accs[a][w] = accuracy(states, windows[w]);
-        },
-        profile);
+        });
 
     obs::BenchReport report("fig04_prediction", experimentEvents(),
                             runnerThreads());

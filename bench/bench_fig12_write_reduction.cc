@@ -31,16 +31,14 @@ main()
     const std::vector<AppProfile> &apps = appCatalog();
     std::vector<WorkloadStats> truths(apps.size());
     std::vector<ExperimentResult> results(apps.size());
-    RunnerProfile profile;
-    parallelForProfiled(
+    const RunnerProfile profile = parallelFor(
         apps.size(),
         [&](std::size_t a) {
             SyntheticWorkload truth_trace(apps[a], appSeed(apps[a]));
             truths[a] = measureWorkload(truth_trace, experimentEvents());
             results[a] = runApp(apps[a], config,
                                 dewriteScheme(DedupMode::Predicted));
-        },
-        profile);
+        });
 
     obs::BenchReport report("fig12_write_reduction", experimentEvents(),
                             runnerThreads());

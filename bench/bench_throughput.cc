@@ -98,8 +98,8 @@ main(int argc, char **argv)
     for (const auto &[name, scheme] : schemes) {
         SchemeTiming timing;
         timing.name = name;
-        const auto cells = runMatrixProfiled(apps, { scheme }, config,
-                                             timing.profile, events, 0);
+        const auto cells = runMatrix(apps, { scheme }, config, events, 0,
+                                     &timing.profile);
         timing.seconds = timing.profile.wallSeconds;
         timing.cells = cells.size();
         std::string signatures;

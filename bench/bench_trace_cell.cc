@@ -80,16 +80,14 @@ main(int argc, char **argv)
                 tracer->epochs().size());
 
     // --- Consistency: tracer aggregates vs the authoritative run. ---
-    if (obs::WriteTracer::compiledIn()) {
-        if (tracer->recorded() != r.run.writes)
-            return fail("recorded events != write requests");
+    if (tracer->recorded() != r.run.writes)
+        return fail("recorded events != write requests");
 
-        std::uint64_t dup_total = tracer->currentEpoch().duplicates;
-        for (const obs::EpochSnapshot &epoch : tracer->epochs())
-            dup_total += epoch.duplicates;
-        if (dup_total != r.run.writesEliminated)
-            return fail("epoch duplicates != writes eliminated");
-    }
+    std::uint64_t dup_total = tracer->currentEpoch().duplicates;
+    for (const obs::EpochSnapshot &epoch : tracer->epochs())
+        dup_total += epoch.duplicates;
+    if (dup_total != r.run.writesEliminated)
+        return fail("epoch duplicates != writes eliminated");
 
     // --- Consistency: live registry vs the snapshot in the result. ---
     const obs::MetricRegistry &registry = cell.system->registry();
@@ -137,7 +135,6 @@ main(int argc, char **argv)
     obs::JsonWriter &w = report.json();
     w.field("app", r.app);
     w.field("scheme", r.scheme);
-    w.field("trace_compiled_in", obs::WriteTracer::compiledIn());
     w.field("events_recorded", tracer->recorded());
     w.field("events_retained",
             static_cast<std::uint64_t>(tracer->size()));

@@ -11,9 +11,10 @@
  * full batch, or the end of the trace), so the registry exposes *why*
  * batches break up, not just cycle totals.
  *
- * Both CoreModel::runMulti (the batch-run experiment path) and the
- * service's ShardCore (the resumable per-shard loop) drive one former;
- * extracting it keeps the strict-equivalence contract in one place.
+ * Each CoreModel owns one former, shared by its pull loop (runMulti,
+ * the experiment path) and its push mode (feed/finish, the service's
+ * per-shard loop) through one flush, so the strict-equivalence
+ * contract lives in one place.
  */
 
 #ifndef DEWRITE_CPU_BATCH_FORMER_HH

@@ -6,11 +6,10 @@
 #include "cpu/core_model.hh"
 
 #include <algorithm>
-#include <array>
 
-#include "common/check.hh"
 #include "common/env.hh"
 #include "controller/mem_controller.hh"
+#include "obs/telemetry.hh"
 #include "trace/trace.hh"
 
 namespace dewrite {
@@ -22,6 +21,11 @@ writeBatchSize()
     // knob testable with setenv — the env.hh no-latch contract.
     return static_cast<std::size_t>(
         envUint("DEWRITE_BATCH", 16, 1, kMaxWriteBatch));
+}
+
+CoreModel::CoreModel(const TimingConfig &timing)
+    : timing_(timing), depth_(std::max(1u, timing.storeQueueDepth))
+{
 }
 
 RunResult
@@ -38,40 +42,150 @@ CoreModel::registerMetrics(obs::MetricRegistry::Scope scope) const
     former_.registerMetrics(scope.scope("batch"));
 }
 
+void
+CoreModel::restart(MemController &controller,
+                   std::size_t batch_capacity, std::size_t cores)
+{
+    controller_ = &controller;
+    former_.reset(batch_capacity);
+    totals_ = RunResult();
+    cores_.assign(cores, CoreState());
+    for (CoreState &core : cores_)
+        core.queue.resize(depth_);
+}
+
+void
+CoreModel::attach(MemController &controller, std::size_t batch_capacity)
+{
+    restart(controller, batch_capacity, 1);
+}
+
+// dewrite-analyze: root(shard-isolation)
+// dewrite-analyze: root(determinism)
+void
+CoreModel::flush(BatchFormer::FlushReason reason)
+{
+    const std::size_t flushed =
+        former_.flush(*controller_, responses_.data(), reason);
+    if (flushed == 0)
+        return;
+    if (telemetry_) {
+        // Slot data stays readable after flush() (BatchFormer
+        // contract), so attribute each response to its address here.
+        Time first_issue = former_.slotNow(0);
+        Time last_commit = 0;
+        for (std::size_t s = 0; s < flushed; ++s) {
+            const Time staged = former_.slotNow(s);
+            const Time commit = staged + responses_[s].latency;
+            telemetry_->recordWrite(former_.slotAddr(s),
+                                    responses_[s].latency,
+                                    responses_[s].eliminated);
+            first_issue = std::min(first_issue, staged);
+            last_commit = std::max(last_commit, commit);
+        }
+        telemetry_->recordBatchCommit(last_commit - first_issue);
+    }
+    // A write leaves its queue only right after a flush, so every
+    // entry outside the live window is already resolved and the whole
+    // ring can be scanned.
+    for (CoreState &core : cores_) {
+        for (StoreEntry &entry : core.queue) {
+            if (entry.batchSlot >= 0) {
+                if (responses_[entry.batchSlot].eliminated)
+                    ++totals_.writesEliminated;
+                entry.complete = former_.slotNow(entry.batchSlot) +
+                                 responses_[entry.batchSlot].latency;
+                entry.batchSlot = -1;
+            }
+        }
+    }
+}
+
+void
+CoreModel::issue(CoreState &core, const MemEvent &event)
+{
+    // The +1 cycle per event is the memory instruction's own issue
+    // slot, so IPC can reach but not exceed one per core.
+    core.now += timing_.cycles(event.instGap + 1);
+    totals_.instructions += event.instGap + 1;
+    ++totals_.events;
+
+    if (event.isWrite) {
+        // Stage the write; its completion resolves at flush. The
+        // write drains from the persist queue; the core stalls only
+        // when the queue is at capacity (ordering is kept by queue
+        // FIFO order plus per-bank serialization).
+        std::size_t tail = core.head + core.inFlight;
+        if (tail >= depth_)
+            tail -= depth_;
+        const std::size_t slot =
+            former_.stage(event.addr, event.data, core.now);
+        core.queue[tail] = { 0, static_cast<std::int32_t>(slot) };
+        ++core.inFlight;
+        ++totals_.writes;
+
+        if (former_.full()) {
+            flush(BatchFormer::FlushReason::BatchFull);
+        } else if (core.inFlight == depth_) {
+            flush(BatchFormer::FlushReason::QueueFull);
+        }
+        if (core.inFlight == depth_) {
+            // Full queue: the core waits for the oldest write.
+            core.now = std::max(core.now, core.queue[core.head].complete);
+            core.head = core.head + 1 == depth_ ? 0 : core.head + 1;
+            --core.inFlight;
+        }
+    } else {
+        // The controller must observe every staged write first.
+        flush(BatchFormer::FlushReason::Read);
+        // The core consumes only the latency, so readTiming lets the
+        // scheme skip materializing the decrypted line.
+        const CtrlReadResult read =
+            controller_->readTiming(event.addr, core.now);
+        if (telemetry_)
+            telemetry_->recordRead(event.addr, read.latency);
+        // Loads block the in-order core until the data returns;
+        // persist ordering constrains stores only, so the queue keeps
+        // draining underneath.
+        core.now += read.latency;
+        ++totals_.reads;
+    }
+}
+
+// dewrite-analyze: root(shard-isolation)
+// dewrite-analyze: root(determinism)
+void
+CoreModel::feed(const MemEvent *events, std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        issue(cores_[0], events[i]);
+}
+
+// dewrite-analyze: root(shard-isolation)
+// dewrite-analyze: root(determinism)
+RunResult
+CoreModel::finish()
+{
+    flush(BatchFormer::FlushReason::TraceEnd);
+
+    RunResult result = totals_;
+    Time slowest = 0;
+    for (const CoreState &core : cores_)
+        slowest = std::max(slowest, core.now);
+    result.cycles = slowest / timing_.cyclePeriod;
+    result.ipc = result.cycles
+        ? static_cast<double>(result.instructions) / result.cycles
+        : 0.0;
+    result.avgWriteLatencyNs =
+        controller_->avgWriteLatency() / kNanoSecond;
+    result.avgReadLatencyNs = controller_->avgReadLatency() / kNanoSecond;
+    return result;
+}
+
 RunResult
 CoreModel::runMulti(const std::vector<TraceSource *> &traces,
                     MemController &controller, std::uint64_t max_events)
 {
-    /**
-     * One in-flight write completion. While the write sits in the
-     * current unflushed batch its completion time is unknown and
-     * @c batchSlot names its staging slot; flushing resolves it.
-     */
-    struct StoreEntry
-    {
-        Time complete = 0;
-        std::int32_t batchSlot = -1; //!< -1: resolved.
-    };
-
-    struct CoreState
-    {
-        TraceSource *trace;
-        Time now = 0;
-        MemEvent pending;
-        Time issueAt = 0; //!< now + pending compute phase.
-        bool alive = false;
-        std::vector<StoreEntry> storeQueue; //!< In-flight writes.
-    };
-
-    // The +1 cycle per event is the memory instruction's own issue
-    // slot, so IPC can reach but not exceed one per core.
-    std::vector<CoreState> cores(traces.size());
-    for (std::size_t c = 0; c < traces.size(); ++c) {
-        cores[c].trace = traces[c];
-        cores[c].alive = traces[c]->next(cores[c].pending);
-        cores[c].issueAt = timing_.cycles(cores[c].pending.instGap + 1);
-    }
-
     // The batch former exploits a slack in the core model: a write's
     // controller latency feeds back into core scheduling only when the
     // store queue drains, so consecutive globally-selected writes can
@@ -79,96 +193,43 @@ CoreModel::runMulti(const std::vector<TraceSource *> &traces,
     // which replays them in the exact serial order (strict-equivalence
     // contract) but overlaps the host-side work. Any read, a full
     // queue, or a full batch forces the flush first.
-    former_.reset(writeBatchSize());
-    std::array<CtrlWriteResult, kMaxWriteBatch> responses;
+    restart(controller, writeBatchSize(), traces.size());
 
-    RunResult result;
-
-    const auto flush = [&](BatchFormer::FlushReason reason) {
-        if (former_.flush(controller, responses.data(), reason) == 0)
-            return;
-        for (auto &core : cores) {
-            for (auto &entry : core.storeQueue) {
-                if (entry.batchSlot >= 0) {
-                    if (responses[entry.batchSlot].eliminated)
-                        ++result.writesEliminated;
-                    entry.complete = former_.slotNow(entry.batchSlot) +
-                                     responses[entry.batchSlot].latency;
-                    entry.batchSlot = -1;
-                }
-            }
-        }
+    /** A core's next event, pulled ahead of its issue. */
+    struct Pending
+    {
+        MemEvent event;
+        Time issueAt = 0; //!< Core clock + the event's compute phase.
+        bool alive = false;
     };
+    std::vector<Pending> pending(traces.size());
+    for (std::size_t c = 0; c < traces.size(); ++c) {
+        pending[c].alive = traces[c]->next(pending[c].event);
+        pending[c].issueAt =
+            timing_.cycles(pending[c].event.instGap + 1);
+    }
 
     for (std::uint64_t issued = 0; issued < max_events; ++issued) {
         // Issue the globally earliest pending event.
-        CoreState *core = nullptr;
-        for (auto &candidate : cores) {
-            if (candidate.alive &&
-                (!core || candidate.issueAt < core->issueAt)) {
-                core = &candidate;
+        std::size_t c = traces.size();
+        for (std::size_t candidate = 0; candidate < traces.size();
+             ++candidate) {
+            if (pending[candidate].alive &&
+                (c == traces.size() ||
+                 pending[candidate].issueAt < pending[c].issueAt)) {
+                c = candidate;
             }
         }
-        if (!core)
+        if (c == traces.size())
             break; // All traces exhausted.
 
-        core->now = core->issueAt;
-        result.instructions += core->pending.instGap + 1;
-        ++result.events;
-
-        if (core->pending.isWrite) {
-            // Stage the write; its completion resolves at flush. The
-            // write drains from the persist queue; the core stalls
-            // only when the queue is at capacity (ordering is kept by
-            // queue FIFO order plus per-bank serialization).
-            const std::size_t slot = former_.stage(
-                core->pending.addr, core->pending.data, core->now);
-            core->storeQueue.push_back(
-                { 0, static_cast<std::int32_t>(slot) });
-            ++result.writes;
-
-            const unsigned depth = std::max(1u, timing_.storeQueueDepth);
-            if (former_.full()) {
-                flush(BatchFormer::FlushReason::BatchFull);
-            } else if (core->storeQueue.size() >= depth) {
-                flush(BatchFormer::FlushReason::QueueFull);
-            }
-            while (core->storeQueue.size() >= depth) {
-                core->now =
-                    std::max(core->now, core->storeQueue.front().complete);
-                core->storeQueue.erase(core->storeQueue.begin());
-            }
-        } else {
-            // The controller must observe every staged write first.
-            flush(BatchFormer::FlushReason::Read);
-            // The core consumes only the latency, so readTiming lets
-            // the scheme skip materializing the decrypted line.
-            const CtrlReadResult read =
-                controller.readTiming(core->pending.addr, core->now);
-            // Loads block the in-order core until the data returns;
-            // persist ordering constrains stores only, so the queue
-            // keeps draining underneath.
-            core->now += read.latency;
-            ++result.reads;
-        }
-
-        core->alive = core->trace->next(core->pending);
-        core->issueAt =
-            core->now + timing_.cycles(core->pending.instGap + 1);
+        CoreState &core = cores_[c];
+        issue(core, pending[c].event);
+        pending[c].alive = traces[c]->next(pending[c].event);
+        pending[c].issueAt =
+            core.now + timing_.cycles(pending[c].event.instGap + 1);
     }
-    flush(BatchFormer::FlushReason::TraceEnd);
-
-    Time slowest = 0;
-    for (const auto &core : cores)
-        slowest = std::max(slowest, core.now);
-    result.cycles = slowest / timing_.cyclePeriod;
-    result.ipc = result.cycles
-        ? static_cast<double>(result.instructions) / result.cycles
-        : 0.0;
-    result.avgWriteLatencyNs =
-        controller.avgWriteLatency() / kNanoSecond;
-    result.avgReadLatencyNs = controller.avgReadLatency() / kNanoSecond;
-    return result;
+    return finish();
 }
 
 } // namespace dewrite

@@ -14,6 +14,7 @@
 #ifndef DEWRITE_CPU_CORE_MODEL_HH
 #define DEWRITE_CPU_CORE_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,11 @@
 namespace dewrite {
 
 class TraceSource;
+struct MemEvent;
+
+namespace obs {
+class ShardTelemetry;
+} // namespace obs
 
 /**
  * Writes handed to the controller per batched step: DEWRITE_BATCH
@@ -55,7 +61,8 @@ struct RunResult
 class CoreModel
 {
   public:
-    explicit CoreModel(const TimingConfig &timing) : timing_(timing) {}
+    /** Copies @p timing: a core may outlive the config that built it. */
+    explicit CoreModel(const TimingConfig &timing);
 
     /**
      * Drives @p controller with up to @p max_events events from
@@ -73,10 +80,53 @@ class CoreModel
      * also accelerates reads (Section I). @p max_events bounds the
      * total across cores; cycles are the slowest core's, instructions
      * sum over cores (so IPC is aggregate, up to one per core).
+     *
+     * Pull order: every core's first event is pulled up front, and a
+     * core's next event is pulled right after the previous one issues.
+     * Each run starts from a fresh clock.
      */
     RunResult runMulti(const std::vector<TraceSource *> &traces,
                        MemController &controller,
                        std::uint64_t max_events);
+
+    /**
+     * @{
+     * Push mode: one core (core 0) fed events in arbitrary-sized
+     * chunks, carrying its clock, store queue and half-formed write
+     * batch across feed() boundaries — the service's per-shard loop.
+     * Every flush is event-driven (a read, a full store queue, a full
+     * batch, or finish()), never chunk-driven, so any chunking of a
+     * sequence yields results bit-identical to run() over it.
+     *
+     * attach() binds the core to @p controller (driven exclusively)
+     * and restarts it from a fresh clock. @p batch_capacity is normally
+     * writeBatchSize(); the caller resolves it once so every shard of
+     * a service run agrees even if the environment changes mid-run.
+     */
+    void attach(MemController &controller, std::size_t batch_capacity);
+
+    /** Feeds @p count events in order to core 0. */
+    void feed(const MemEvent *events, std::size_t count);
+
+    /**
+     * Drains the staged tail and returns the accounting since
+     * attach(), exactly as run() reports it. The core may keep being
+     * fed afterwards; results are cumulative.
+     */
+    RunResult finish();
+    /** @} */
+
+    /**
+     * Attaches per-shard telemetry (owned by the service, written only
+     * from this core's drain task — the zero-sharing discipline).
+     * Recording is pure host-side observation of latencies the core
+     * computes anyway; it never feeds back into timing or results.
+     * Null (the default) for System runs.
+     */
+    void setTelemetry(obs::ShardTelemetry *telemetry)
+    {
+        telemetry_ = telemetry;
+    }
 
     /**
      * Registers the batch former's flush-reason counters under
@@ -89,8 +139,45 @@ class CoreModel
     const BatchFormer &former() const { return former_; }
 
   private:
-    const TimingConfig &timing_;
+    /**
+     * One in-flight write completion. While the write sits in the
+     * current unflushed batch its completion time is unknown and
+     * @c batchSlot names its staging slot; flushing resolves it.
+     */
+    struct StoreEntry
+    {
+        Time complete = 0;
+        std::int32_t batchSlot = -1; //!< -1: resolved.
+    };
+
+    /** One core's clock and persist store queue. */
+    struct CoreState
+    {
+        Time now = 0;
+        std::size_t head = 0;     //!< Oldest in-flight write.
+        std::size_t inFlight = 0; //!< Writes in the queue.
+        std::vector<StoreEntry> queue; //!< Ring of depth_ entries.
+    };
+
+    /** Resets @p cores cores to a fresh clock behind @p controller. */
+    void restart(MemController &controller, std::size_t batch_capacity,
+                 std::size_t cores);
+
+    /** Issues @p event on @p core: the one per-event timing step. */
+    void issue(CoreState &core, const MemEvent &event);
+
+    /** Flushes the staged batch and resolves every queued write. */
+    void flush(BatchFormer::FlushReason reason);
+
+    const TimingConfig timing_;
+    const std::size_t depth_; //!< Store-queue capacity, at least 1.
     BatchFormer former_;
+    MemController *controller_ = nullptr;
+    obs::ShardTelemetry *telemetry_ = nullptr;
+    std::vector<CoreState> cores_;
+    /** Core-side counters summed over cores; memory-side fields 0. */
+    RunResult totals_;
+    std::array<CtrlWriteResult, kMaxWriteBatch> responses_;
 };
 
 } // namespace dewrite

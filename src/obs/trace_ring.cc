@@ -38,13 +38,10 @@ counterHomeName(CounterHome home)
 }
 
 WriteTracer::WriteTracer(const TraceConfig &config)
-    : epochEvents_(config.epochEvents ? config.epochEvents : 1)
+    : ring_(config.capacity),
+      epochEvents_(config.epochEvents ? config.epochEvents : 1)
 {
-    if constexpr (compiledIn())
-        ring_.resize(config.capacity);
 }
-
-#if DEWRITE_TRACE
 
 void
 WriteTracer::record(const WriteEvent &event)
@@ -77,8 +74,6 @@ WriteTracer::record(const WriteEvent &event)
         current_.epoch = epochs_.size();
     }
 }
-
-#endif // DEWRITE_TRACE
 
 const WriteEvent &
 WriteTracer::event(std::size_t i) const

@@ -10,8 +10,6 @@
 #include <string>
 
 #include "common/check.hh"
-#include "controller/dewrite_controller.hh"
-#include "dedup/metadata_auditor.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
 
@@ -73,9 +71,9 @@ DedupService::DedupService(const ServiceOptions &options)
     for (std::size_t k = 0; k < shards_.size(); ++k) {
         Shard &shard = shards_[k];
         shard.system = std::make_unique<System>(config, options_.scheme);
-        shard.core = std::make_unique<ShardCore>(
-            shard.system->config().timing, shard.system->controller(),
-            batch);
+        shard.core =
+            std::make_unique<CoreModel>(shard.system->config().timing);
+        shard.core->attach(shard.system->controller(), batch);
         shard.telemetry = std::make_unique<obs::ShardTelemetry>(
             shards_.size(), k, options_.tenants,
             options_.linesPerTenant);
@@ -221,21 +219,11 @@ DedupService::finalizeShard(std::size_t shard_index)
     ShardOutcome outcome;
     outcome.events = shard.events;
 
-    RunResult run = shard.core->finish();
-    run.totalEnergy = shard.system->totalEnergy();
-    run.nvmLineWrites = shard.system->device().numWrites();
-    run.nvmLineReads = shard.system->device().numReads();
-    run.bitsProgrammed = shard.system->controller().dataBitsProgrammed();
-
     // The same end-of-run closure System::run performs: under
     // DEWRITE_AUDIT=1 every shard's metadata gets a full consistency
     // walk, independently of its siblings.
-    if (auditEnabled()) {
-        if (const auto *dewrite = dynamic_cast<const DeWriteController *>(
-                &shard.system->controller())) {
-            dewrite->auditNow("run-end");
-        }
-    }
+    RunResult run = shard.core->finish();
+    shard.system->completeRun(run);
 
     outcome.cell.app = "shard" + std::to_string(shard_index);
     outcome.cell.scheme = shard.system->controller().name();

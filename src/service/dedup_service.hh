@@ -5,13 +5,15 @@
  * The service scales the single-System simulator horizontally: the
  * multi-tenant address space and every piece of dedup metadata are
  * partitioned by ShardRouter into DEWRITE_SHARDS shards, each a full
- * System (device + controller + metadata) driven by its own resumable
- * ShardCore. Shards share nothing mutable, so the drain loop needs no
- * locks: each ingest round routes a slice of the canonical tenant-mux
- * order into per-shard buffers, one ThreadPool task per shard drains
- * its buffer with exclusive ownership, and the main thread fills the
- * next round's buffers while the pool works (double buffering, so the
- * hot path allocates nothing after the first round).
+ * System (device + controller + metadata) driven by its own CoreModel
+ * in push mode — the same core loop System::run pulls through. Shards
+ * share nothing mutable, so the drain loop needs no locks: each ingest
+ * round routes a slice of the canonical tenant-mux order into
+ * per-shard buffers, one ThreadPool task per shard drains its buffer
+ * with exclusive ownership, and the main thread fills the next round's
+ * buffers while the pool works. Double buffering plus the core's
+ * fixed store-queue ring mean the ingest buffers and the core loop
+ * allocate nothing after the first round.
  *
  * Correctness is pinned, not assumed: an N-shard run must produce
  * per-shard ExperimentResult fingerprints identical to N independent
@@ -27,9 +29,9 @@
 #include <memory>
 #include <vector>
 
+#include "cpu/core_model.hh"
 #include "obs/metric_registry.hh"
 #include "obs/telemetry.hh"
-#include "service/shard_core.hh"
 #include "service/shard_router.hh"
 #include "service/tenant_mux.hh"
 #include "sim/experiment.hh"
@@ -93,7 +95,8 @@ class DedupService
     {
         return *shards_[shard].system;
     }
-    const ShardCore &shardCore(std::size_t shard) const
+    /** Shard @p shard's push-mode core (its System's own core idles). */
+    const CoreModel &shardCore(std::size_t shard) const
     {
         return *shards_[shard].core;
     }
@@ -143,7 +146,7 @@ class DedupService
     struct Shard
     {
         std::unique_ptr<System> system;
-        std::unique_ptr<ShardCore> core;
+        std::unique_ptr<CoreModel> core; //!< Push mode, attached.
         /** Written only by this shard's drain task (zero-sharing);
          * read by the main thread strictly after pool.wait(). */
         std::unique_ptr<obs::ShardTelemetry> telemetry;
@@ -179,7 +182,7 @@ class DedupService
     std::vector<std::uint64_t> roundCounts_;
 
     /** Service-level metrics: ingest rounds, per-shard routed events,
-     * and each ShardCore's batch former (under "shard<k>.ingest"). */
+     * and each shard core's batch former (under "shard<k>.ingest"). */
     obs::MetricRegistry serviceRegistry_;
 };
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -94,43 +95,22 @@ runnerThreads()
     return hw ? hw : 1;
 }
 
-void
+RunnerProfile
 parallelFor(std::size_t count,
             const std::function<void(std::size_t)> &body,
             unsigned threads)
 {
-    if (count == 0)
-        return;
     const unsigned workers = threads ? threads : runnerThreads();
-
     // One worker (or one task) degenerates to the plain serial loop —
     // same code path the determinism tests compare against.
-    if (workers == 1 || count == 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-        return;
-    }
-
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < count; ++i)
-        pool.submit([&body, i] { body(i); });
-    pool.wait();
-}
-
-void
-parallelForProfiled(std::size_t count,
-                    const std::function<void(std::size_t)> &body,
-                    RunnerProfile &profile, unsigned threads)
-{
-    const unsigned workers = threads ? threads : runnerThreads();
     const bool serial = workers == 1 || count <= 1;
 
-    profile = RunnerProfile();
+    RunnerProfile profile;
     profile.threads = serial ? 1 : workers;
     profile.cells.assign(count, CellProfile());
     profile.workerBusySeconds.assign(profile.threads, 0.0);
     if (count == 0)
-        return;
+        return profile;
 
     const ProfileClock::time_point begin = ProfileClock::now();
 
@@ -146,7 +126,7 @@ parallelForProfiled(std::size_t count,
         }
         profile.wallSeconds =
             secondsBetween(begin, ProfileClock::now());
-        return;
+        return profile;
     }
 
     std::vector<ProfileClock::time_point> submitted(count);
@@ -174,18 +154,19 @@ parallelForProfiled(std::size_t count,
     }
     pool.wait();
     profile.wallSeconds = secondsBetween(begin, ProfileClock::now());
+    return profile;
 }
 
 std::vector<ExperimentResult>
 runMatrix(const std::vector<AppProfile> &apps,
           const std::vector<SchemeOptions> &schemes,
           const SystemConfig &config, std::uint64_t max_events,
-          unsigned threads)
+          unsigned threads, RunnerProfile *profile)
 {
     const std::uint64_t events =
         max_events ? max_events : experimentEvents();
     std::vector<ExperimentResult> results(apps.size() * schemes.size());
-    parallelFor(
+    RunnerProfile fanout = parallelFor(
         results.size(),
         [&](std::size_t cell) {
             const std::size_t a = cell / schemes.size();
@@ -194,27 +175,8 @@ runMatrix(const std::vector<AppProfile> &apps,
                                    appSeed(apps[a]));
         },
         threads);
-    return results;
-}
-
-std::vector<ExperimentResult>
-runMatrixProfiled(const std::vector<AppProfile> &apps,
-                  const std::vector<SchemeOptions> &schemes,
-                  const SystemConfig &config, RunnerProfile &profile,
-                  std::uint64_t max_events, unsigned threads)
-{
-    const std::uint64_t events =
-        max_events ? max_events : experimentEvents();
-    std::vector<ExperimentResult> results(apps.size() * schemes.size());
-    parallelForProfiled(
-        results.size(),
-        [&](std::size_t cell) {
-            const std::size_t a = cell / schemes.size();
-            const std::size_t s = cell % schemes.size();
-            results[cell] = runApp(apps[a], config, schemes[s], events,
-                                   appSeed(apps[a]));
-        },
-        profile, threads);
+    if (profile)
+        *profile = std::move(fanout);
     return results;
 }
 

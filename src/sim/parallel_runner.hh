@@ -52,7 +52,7 @@ struct CellProfile
 /**
  * Where the host time of one parallel fan-out went: total wall time,
  * per-cell execution/queue-wait, and per-worker busy time. Filled by
- * parallelForProfiled / runMatrixProfiled; benches attach it to their
+ * every parallelFor / runMatrix fan-out; benches attach it to their
  * BENCH_*.json output so regressions in runner scaling are visible
  * without a profiler.
  */
@@ -80,40 +80,28 @@ struct RunnerProfile
  * Runs body(0) .. body(count - 1) across @p threads workers (0 =
  * runnerThreads()) and blocks until all complete. The first exception
  * a body throws is rethrown here after the fan-out drains.
+ *
+ * Always profiles — two clock reads per cell, outside the bodies, so
+ * results are unaffected — and returns the per-cell and per-worker
+ * host timing; callers that do not report it drop it.
  */
-void parallelFor(std::size_t count,
-                 const std::function<void(std::size_t)> &body,
-                 unsigned threads = 0);
-
-/**
- * parallelFor that also fills @p profile with per-cell and per-worker
- * host timing. Identical fan-out semantics and determinism contract;
- * the timing instrumentation sits outside the cell bodies, so results
- * are unaffected.
- */
-void parallelForProfiled(std::size_t count,
-                         const std::function<void(std::size_t)> &body,
-                         RunnerProfile &profile, unsigned threads = 0);
+RunnerProfile parallelFor(std::size_t count,
+                          const std::function<void(std::size_t)> &body,
+                          unsigned threads = 0);
 
 /**
  * Simulates every (app, scheme) cell of the matrix in parallel with
  * the shared defaults (appSeed, experimentEvents unless @p max_events
  * is nonzero). Results are row-major: result[a * schemes.size() + s]
  * is apps[a] under schemes[s], exactly what the equivalent serial
- * runApp loop produces.
+ * runApp loop produces. The fan-out's RunnerProfile lands in
+ * @p profile when it is non-null.
  */
 std::vector<ExperimentResult>
 runMatrix(const std::vector<AppProfile> &apps,
           const std::vector<SchemeOptions> &schemes,
           const SystemConfig &config, std::uint64_t max_events = 0,
-          unsigned threads = 0);
-
-/** runMatrix that also fills @p profile (see RunnerProfile). */
-std::vector<ExperimentResult>
-runMatrixProfiled(const std::vector<AppProfile> &apps,
-                  const std::vector<SchemeOptions> &schemes,
-                  const SystemConfig &config, RunnerProfile &profile,
-                  std::uint64_t max_events = 0, unsigned threads = 0);
+          unsigned threads = 0, RunnerProfile *profile = nullptr);
 
 } // namespace dewrite
 

@@ -79,11 +79,7 @@ RunResult
 System::run(TraceSource &trace, std::uint64_t max_events)
 {
     RunResult result = core_.run(trace, *controller_, max_events);
-    result.totalEnergy = totalEnergy();
-    result.nvmLineWrites = device_.numWrites();
-    result.nvmLineReads = device_.numReads();
-    result.bitsProgrammed = controller_->dataBitsProgrammed();
-    auditRunEnd();
+    completeRun(result);
     return result;
 }
 
@@ -93,17 +89,18 @@ System::run(const std::vector<TraceSource *> &traces,
             std::uint64_t max_events)
 {
     RunResult result = core_.runMulti(traces, *controller_, max_events);
-    result.totalEnergy = totalEnergy();
-    result.nvmLineWrites = device_.numWrites();
-    result.nvmLineReads = device_.numReads();
-    result.bitsProgrammed = controller_->dataBitsProgrammed();
-    auditRunEnd();
+    completeRun(result);
     return result;
 }
 
 void
-System::auditRunEnd() const
+System::completeRun(RunResult &result) const
 {
+    result.totalEnergy = totalEnergy();
+    result.nvmLineWrites = device_.numWrites();
+    result.nvmLineReads = device_.numReads();
+    result.bitsProgrammed = controller_->dataBitsProgrammed();
+
     // The epoch hook only fires on whole audit epochs; this closes the
     // partial tail so every run ends with a full consistency walk.
     if (!auditEnabled())

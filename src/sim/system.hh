@@ -64,6 +64,15 @@ class System
     RunResult run(const std::vector<TraceSource *> &traces,
                   std::uint64_t max_events);
 
+    /**
+     * The end-of-run closure of a core-side @p result: fills its
+     * memory-side fields (energy, device line traffic, programmed
+     * bits), then runs the DEWRITE_AUDIT=1 run-end metadata audit.
+     * Both run() overloads end with it; so does any caller that runs
+     * this System's controller from its own CoreModel (the service).
+     */
+    void completeRun(RunResult &result) const;
+
     /** @{ Direct substrate API (absolute simulated time advances). */
     CtrlWriteResult write(LineAddr addr, const Line &data);
     CtrlReadResult read(LineAddr addr);
@@ -93,9 +102,7 @@ class System
      * Allocates the write-pipeline event tracer (if not already on)
      * and attaches it to the controller. Per-write events land in a
      * fixed ring (see obs/trace_ring.hh); export them with
-     * obs::writeChromeTrace / obs::writeEpochSeries. When the tracer
-     * is compiled out (DEWRITE_TRACE=0) the ring records nothing but
-     * the call remains valid.
+     * obs::writeChromeTrace / obs::writeEpochSeries.
      */
     obs::WriteTracer &enableTracing(
         const obs::TraceConfig &config = obs::TraceConfig());
@@ -113,9 +120,6 @@ class System
     void dumpStats(std::FILE *out) const;
 
   private:
-    /** Runs the DEWRITE_AUDIT=1 end-of-run metadata audit, if any. */
-    void auditRunEnd() const;
-
     SystemConfig config_;
     NvmDevice device_;
     std::unique_ptr<MemController> controller_;

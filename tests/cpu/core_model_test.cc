@@ -2,17 +2,26 @@
  * @file
  * CoreModel tests: single-core stalls, persist write queues, and
  * multi-core interleaving — exercised against a stub controller with
- * fixed latencies so every cycle count is predictable.
+ * fixed latencies so every cycle count is predictable — plus the push
+ * mode, which must be bit-identical to the pull path over the same
+ * events however the feed is chunked: the property that makes the
+ * service's round-based ingest invisible to the simulation.
  */
 
 #include "cpu/core_model.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "controller/mem_controller.hh"
+#include "sim/experiment.hh"
+#include "sim/system.hh"
+#include "trace/app_catalog.hh"
 #include "trace/trace.hh"
+#include "trace/trace_gen.hh"
 
 namespace dewrite {
 namespace {
@@ -224,6 +233,151 @@ TEST(CoreModelTest, IpcNeverExceedsOnePerCore)
     const RunResult result = core.run(trace, ctrl, 1000);
     EXPECT_LE(result.ipc, 1.0);
     EXPECT_GT(result.ipc, 0.0);
+}
+
+// --- push mode -------------------------------------------------------
+
+/** Replays a recorded event vector as a TraceSource. */
+class VectorTrace : public TraceSource
+{
+  public:
+    explicit VectorTrace(const std::vector<MemEvent> &events)
+        : events_(events)
+    {
+    }
+
+    bool
+    next(MemEvent &event) override
+    {
+        if (pos_ >= events_.size())
+            return false;
+        event = events_[pos_++];
+        return true;
+    }
+
+  private:
+    const std::vector<MemEvent> &events_;
+    std::size_t pos_ = 0;
+};
+
+std::vector<MemEvent>
+recordEvents(std::size_t count)
+{
+    AppProfile profile = appCatalog()[3];
+    profile.workingSetLines = 2048;
+    SyntheticWorkload workload(profile, appSeed(profile));
+    std::vector<MemEvent> events(count);
+    for (MemEvent &event : events)
+        EXPECT_TRUE(workload.next(event));
+    return events;
+}
+
+SystemConfig
+smallConfig(unsigned store_queue_depth = TimingConfig().storeQueueDepth)
+{
+    SystemConfig config;
+    config.memory.numLines = 4096;
+    config.timing.storeQueueDepth = store_queue_depth;
+    return config;
+}
+
+std::string
+signature(const System &system, const RunResult &run)
+{
+    ExperimentResult cell;
+    cell.app = "chunk";
+    cell.scheme = system.controller().name();
+    cell.run = run;
+    system.controller().fillStats(cell.stats);
+    return resultSignature(cell);
+}
+
+/** Signature of a System run over @p events via the pull path. */
+std::string
+pullSignature(const std::vector<MemEvent> &events,
+              const SchemeOptions &scheme, const SystemConfig &config)
+{
+    System system(config, scheme);
+    VectorTrace trace(events);
+    const RunResult run = system.run(trace, events.size());
+    return signature(system, run);
+}
+
+/** Signature of a push-mode core fed @p events in @p chunk pieces. */
+std::string
+pushSignature(const std::vector<MemEvent> &events, std::size_t chunk,
+              const SchemeOptions &scheme, const SystemConfig &config)
+{
+    System system(config, scheme);
+    CoreModel core(system.config().timing);
+    core.attach(system.controller(), writeBatchSize());
+    for (std::size_t i = 0; i < events.size(); i += chunk)
+        core.feed(events.data() + i,
+                  std::min(chunk, events.size() - i));
+    RunResult run = core.finish();
+    system.completeRun(run);
+    return signature(system, run);
+}
+
+TEST(CoreModelPushTest, MatchesPullPathWhateverTheChunking)
+{
+    const std::vector<MemEvent> events = recordEvents(4000);
+    const SchemeOptions scheme = dewriteScheme(DedupMode::Predicted);
+    const std::string reference =
+        pullSignature(events, scheme, smallConfig());
+    // 1 = event-at-a-time; 7 straddles every batch boundary; 4096 is
+    // one service round; 5000 = a single feed of everything.
+    for (std::size_t chunk : { 1u, 7u, 256u, 4096u, 5000u })
+        EXPECT_EQ(pushSignature(events, chunk, scheme, smallConfig()),
+                  reference)
+            << "chunk size " << chunk;
+}
+
+TEST(CoreModelPushTest, MatchesPullPathForSecureBaseline)
+{
+    const std::vector<MemEvent> events = recordEvents(2000);
+    const SchemeOptions scheme = secureBaselineScheme();
+    EXPECT_EQ(pushSignature(events, 100, scheme, smallConfig()),
+              pullSignature(events, scheme, smallConfig()));
+}
+
+TEST(CoreModelPushTest, MatchesRunMultiAtEveryStoreQueueDepth)
+{
+    // Depth 1 empties the ring on every write; 4 and 8 wrap it many
+    // times over a few thousand writes.
+    const std::vector<MemEvent> events = recordEvents(3000);
+    const SchemeOptions scheme = dewriteScheme(DedupMode::Predicted);
+    for (unsigned depth : { 1u, 4u, 8u }) {
+        const SystemConfig config = smallConfig(depth);
+        EXPECT_EQ(pushSignature(events, 64, scheme, config),
+                  pullSignature(events, scheme, config))
+            << "store queue depth " << depth;
+    }
+}
+
+TEST(CoreModelPushTest, EveryStagedWriteLeavesThroughOneFlush)
+{
+    const std::vector<MemEvent> events = recordEvents(2000);
+    System system(smallConfig(), dewriteScheme(DedupMode::Predicted));
+    CoreModel core(system.config().timing);
+    core.attach(system.controller(), writeBatchSize());
+    core.feed(events.data(), events.size());
+    const RunResult run = core.finish();
+    const BatchFormer &former = core.former();
+
+    EXPECT_EQ(run.events, events.size());
+    EXPECT_EQ(former.writesStaged(), run.writes);
+    // The controller saw each staged write exactly once.
+    EXPECT_EQ(system.controller().writeRequests(), run.writes);
+    // A mixed read/write stream must see both read-forced flushes and
+    // the trace-end drain (the tail of the last feed), and every flush
+    // is attributed to exactly one reason.
+    EXPECT_GT(former.flushesOnRead(), 0u);
+    EXPECT_LE(former.flushesOnTraceEnd(), 1u);
+    EXPECT_EQ(former.flushes(),
+              former.flushesOnRead() + former.flushesOnQueueFull() +
+                  former.flushesOnBatchFull() +
+                  former.flushesOnTraceEnd());
 }
 
 } // namespace

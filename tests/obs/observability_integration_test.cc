@@ -90,12 +90,8 @@ TEST(SystemTracerTest, DisabledByDefaultEnabledOnRequest)
     const Line data = Line::filled(0x33);
     system.write(1, data);
     system.write(2, data);
-    if (obs::WriteTracer::compiledIn()) {
-        EXPECT_EQ(tracer.recorded(), 2u);
-        EXPECT_TRUE(tracer.event(1).duplicate);
-    } else {
-        EXPECT_EQ(tracer.recorded(), 0u);
-    }
+    EXPECT_EQ(tracer.recorded(), 2u);
+    EXPECT_TRUE(tracer.event(1).duplicate);
 }
 
 TEST(SystemTracerTest, BaselineSchemeTracesToo)
@@ -105,10 +101,8 @@ TEST(SystemTracerTest, BaselineSchemeTracesToo)
     obs::WriteTracer &tracer = system.enableTracing();
     const Line data = Line::filled(0x44);
     system.write(1, data);
-    if (obs::WriteTracer::compiledIn()) {
-        EXPECT_EQ(tracer.recorded(), 1u);
-        EXPECT_TRUE(tracer.event(0).wroteLine);
-    }
+    EXPECT_EQ(tracer.recorded(), 1u);
+    EXPECT_TRUE(tracer.event(0).wroteLine);
 }
 
 TEST(RunAppTracedTest, TracerAgreesWithRunResult)
@@ -124,8 +118,6 @@ TEST(RunAppTracedTest, TracerAgreesWithRunResult)
 
     const obs::WriteTracer *tracer = cell.system->tracer();
     ASSERT_NE(tracer, nullptr);
-    if (!obs::WriteTracer::compiledIn())
-        GTEST_SKIP() << "tracer compiled out";
 
     EXPECT_EQ(tracer->recorded(), cell.result.run.writes);
     std::uint64_t duplicates = tracer->currentEpoch().duplicates;

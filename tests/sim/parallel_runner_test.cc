@@ -201,17 +201,15 @@ TEST(RunMatrixTest, RepeatedRunsAreIdentical)
         expectIdentical(first[i], second[i], 8);
 }
 
-// --- profiled fan-out ------------------------------------------------
+// --- fan-out profiles (every parallelFor / runMatrix fills one) -----
 
 TEST(ParallelForProfiledTest, RecordsEveryCellAndWorkerTime)
 {
     for (unsigned threads : { 1u, 4u }) {
-        RunnerProfile profile;
         std::vector<std::atomic<int>> visits(31);
-        parallelForProfiled(
+        const RunnerProfile profile = parallelFor(
             visits.size(),
-            [&](std::size_t i) { visits[i].fetch_add(1); }, profile,
-            threads);
+            [&](std::size_t i) { visits[i].fetch_add(1); }, threads);
 
         for (std::size_t i = 0; i < visits.size(); ++i)
             EXPECT_EQ(visits[i].load(), 1);
@@ -237,9 +235,7 @@ TEST(ParallelForProfiledTest, RecordsEveryCellAndWorkerTime)
 
 TEST(ParallelForProfiledTest, ZeroCountLeavesEmptyProfile)
 {
-    RunnerProfile profile;
-    profile.cells.resize(3); // Stale state must be cleared.
-    parallelForProfiled(0, [](std::size_t) {}, profile, 4);
+    const RunnerProfile profile = parallelFor(0, [](std::size_t) {}, 4);
     EXPECT_TRUE(profile.cells.empty());
     EXPECT_EQ(profile.busySeconds(), 0.0);
     EXPECT_EQ(profile.utilization(), 0.0);
@@ -259,7 +255,7 @@ TEST(RunMatrixProfiledTest, ResultsMatchUnprofiledRun)
     const auto plain = runMatrix(apps, schemes, config, 3000, 4);
     RunnerProfile profile;
     const auto profiled =
-        runMatrixProfiled(apps, schemes, config, profile, 3000, 4);
+        runMatrix(apps, schemes, config, 3000, 4, &profile);
     ASSERT_EQ(plain.size(), profiled.size());
     for (std::size_t i = 0; i < plain.size(); ++i)
         expectIdentical(plain[i], profiled[i], 4);

@@ -8,7 +8,9 @@ lexical rule can express (DESIGN.md §5i):
 
   shard-isolation     From the per-shard drain-task roots (functions
                       annotated ``// dewrite-analyze:
-                      root(shard-isolation)`` in src/service/), no call
+                      root(shard-isolation)``: CoreModel's push-mode
+                      feed/finish and shared flush, and
+                      DedupService::finalizeShard), no call
                       path reaches mutable static-storage state — a
                       namespace-scope variable or function-local
                       ``static`` — unless the variable is annotated
@@ -42,8 +44,8 @@ lexical rule can express (DESIGN.md §5i):
                       on the include line.
   determinism         From the result-producing roots (functions
                       annotated ``// dewrite-analyze:
-                      root(determinism)``: System::run and the
-                      ShardCore drain loop), no call path reaches
+                      root(determinism)``: System::run and
+                      CoreModel's push-mode drain), no call path reaches
                       wall-clock reads, rand(), or address-ordered
                       iteration. Sites PR 4 already catalogued — a
                       ``.forEach(`` carrying ``// dewrite-lint:
@@ -295,7 +297,7 @@ class Function:
 
     def __init__(self, qname: str, rel: str, line: int,
                  end_line: int) -> None:
-        self.qname = qname          # e.g. "dewrite::ShardCore::flush"
+        self.qname = qname          # e.g. "dewrite::CoreModel::flush"
         self.rel = rel
         self.line = line            # definition line (header)
         self.end_line = end_line    # closing brace line
@@ -811,7 +813,7 @@ class _AstWalker:
         # field access) falls back to the spelled name, which the
         # over-approximate call graph treats like any unqualified
         # call. Without this branch the closures from method-heavy
-        # roots (ShardCore::flush et al.) are near-empty and every
+        # roots (CoreModel::flush et al.) are near-empty and every
         # reachability rule passes vacuously.
         mref = node.get("referencedMemberDecl")
         if node.get("kind") == "MemberExpr" and mref:
@@ -1238,11 +1240,11 @@ def collect_sources(only: list[str] | None = None) -> dict[str, str]:
 # --------------------------------------------------------------------
 
 SEEDED_BREAKS = [
-    ("shard-isolation", "src/service/shard_core.cc",
-     "    now_ += timing_.cycles(event.instGap + 1);",
+    ("shard-isolation", "src/cpu/core_model.cc",
+     "    core.now += timing_.cycles(event.instGap + 1);",
      "    static std::uint64_t seededCrossShard = 0;\n"
-     "    now_ += ++seededCrossShard * 0;\n"
-     "    now_ += timing_.cycles(event.instGap + 1);"),
+     "    core.now += ++seededCrossShard * 0;\n"
+     "    core.now += timing_.cycles(event.instGap + 1);"),
     ("hot-path-purity", "src/common/line.hh",
      "            if (a != b)",
      "            seededScratch.push_back(a);\n"
@@ -1250,10 +1252,10 @@ SEEDED_BREAKS = [
     ("layering", "src/common/line.hh",
      "#include <array>",
      "#include <array>\n#include \"service/dedup_service.hh\""),
-    ("determinism", "src/service/shard_core.cc",
-     "    now_ += timing_.cycles(event.instGap + 1);",
-     "    now_ += static_cast<Time>(time(nullptr)) * 0;\n"
-     "    now_ += timing_.cycles(event.instGap + 1);"),
+    ("determinism", "src/cpu/core_model.cc",
+     "    core.now += timing_.cycles(event.instGap + 1);",
+     "    core.now += static_cast<Time>(time(nullptr)) * 0;\n"
+     "    core.now += timing_.cycles(event.instGap + 1);"),
 ]
 
 
