@@ -31,7 +31,6 @@
 
 #include "common/env.hh"
 #include "common/table_printer.hh"
-#include "cpu/core_model.hh"
 #include "obs/bench_report.hh"
 #include "service/dedup_service.hh"
 #include "sim/parallel_runner.hh"
@@ -161,7 +160,6 @@ main(int argc, char **argv)
     if (!report.opened())
         return 1;
     obs::JsonWriter &w = report.json();
-    w.field("write_batch", static_cast<std::uint64_t>(writeBatchSize()));
     w.field("host_cpus", static_cast<std::uint64_t>(
                              std::thread::hardware_concurrency()));
     w.field("tenants", std::uint64_t{ 16 });

@@ -14,10 +14,9 @@
  * Events per cell come from DEWRITE_EVENTS (default 120000); pass
  * --quick for a 20x shorter run with the same shape.
  *
- * The JSON additionally carries the write-batch size (DEWRITE_BATCH),
- * a per-scheme parity fingerprint (CRC-32 over every cell's canonical
- * result signature — identical across batch sizes by the batching
- * strict-equivalence contract), the per-stage host-cycle breakdown
+ * The JSON additionally carries a per-scheme parity fingerprint
+ * (CRC-32 over every cell's canonical result signature), the
+ * per-stage host-cycle breakdown
  * (digest/probe/pad/confirm-read/commit, from DEWRITE_STAGE_PROFILE,
  * which this bench enables unless the environment overrides it), and
  * an events/sec ratio of each dewrite mode against the secure
@@ -32,7 +31,6 @@
 
 #include "common/crc32.hh"
 #include "common/table_printer.hh"
-#include "cpu/core_model.hh"
 #include "obs/bench_report.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
@@ -153,8 +151,6 @@ main(int argc, char **argv)
     if (!report.opened())
         return 1;
     obs::JsonWriter &w = report.json();
-    w.field("write_batch",
-            static_cast<std::uint64_t>(writeBatchSize()));
     w.key("schemes");
     w.beginArray();
     for (const SchemeTiming &t : timings) {

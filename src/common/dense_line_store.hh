@@ -86,27 +86,6 @@ class DenseLineStore
     bool isWritten(LineAddr addr) const { return find(addr) != nullptr; }
 
     /**
-     * Warms the cache lines a subsequent find()/refForWrite() of
-     * @p addr will touch: the page's written-bitmap word and the first
-     * bytes of the line content. Pure hint, never allocates a page.
-     */
-    // dewrite-lint: hot
-    void
-    prefetch(LineAddr addr) const
-    {
-        if (addr >= kMaxDirectLines) {
-            overflow_.prefetch(addr);
-            return;
-        }
-        const std::size_t page = addr / kPageLines;
-        if (page >= pages_.size() || !pages_[page])
-            return;
-        const std::size_t slot = addr % kPageLines;
-        hostPrefetchRead(&written_[page][slot / 64]);
-        hostPrefetchRead(&(*pages_[page])[slot]);
-    }
-
-    /**
      * Writable slot for @p addr, allocating its page on demand and
      * marking the address written. The caller overwrites the full line.
      */

@@ -88,7 +88,6 @@ knownKnobs()
     static const std::vector<const char *> knobs = {
         "DEWRITE_AUDIT",
         "DEWRITE_AUDIT_EPOCH",
-        "DEWRITE_BATCH",
         "DEWRITE_DETECT",
         "DEWRITE_DETECT_EPOCH",
         "DEWRITE_EVENTS",

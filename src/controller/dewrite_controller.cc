@@ -6,9 +6,6 @@
 #include "controller/dewrite_controller.hh"
 
 #include <algorithm>
-#include <array>
-
-#include "common/check.hh"
 
 #include "common/logging.hh"
 #include "dedup/metadata_auditor.hh"
@@ -94,45 +91,9 @@ DeWriteController::startEncryption()
     aesEnergy_ += config_.energy.aesLine();
 }
 
+// dewrite-lint: hot
 CtrlWriteResult
 DeWriteController::write(LineAddr addr, const Line &data, Time now)
-{
-    return writeOne(addr, data, now, /*precomputed_hash=*/nullptr);
-}
-
-// dewrite-lint: hot
-void
-DeWriteController::writeBatch(const CtrlWriteRequest *requests,
-                              CtrlWriteResult *results, std::size_t count)
-{
-    DEWRITE_DCHECK(count <= kMaxWriteBatch,
-                   "writeBatch of %zu exceeds kMaxWriteBatch", count);
-    if (count < 2) {
-        MemController::writeBatch(requests, results, count);
-        return;
-    }
-
-    // The engine digests every member, prefetches all metadata buckets,
-    // and pre-generates the candidate pads 8-wide (strong fingerprints
-    // take the skipped confirm pads' slot in the weak+strong tier); the
-    // members then replay through the exact serial write path with
-    // their digest — and fingerprint, when flagged — handed in.
-    std::array<std::uint64_t, kMaxWriteBatch> hashes;
-    std::array<StrongFp, kMaxWriteBatch> strong_fps;
-    std::array<std::uint8_t, kMaxWriteBatch> strong_ready;
-    engine_.prepareBatch(requests, count, hashes.data(),
-                         strong_fps.data(), strong_ready.data());
-    for (std::size_t i = 0; i < count; ++i) {
-        results[i] = writeOne(requests[i].addr, *requests[i].data,
-                              requests[i].now, &hashes[i],
-                              strong_ready[i] ? &strong_fps[i] : nullptr);
-    }
-}
-
-CtrlWriteResult
-DeWriteController::writeOne(LineAddr addr, const Line &data, Time now,
-                            const std::uint64_t *precomputed_hash,
-                            const StrongFp *precomputed_strong)
 {
     DetectOutcome det;
     Time encrypt_ready = 0;
@@ -141,8 +102,7 @@ DeWriteController::writeOne(LineAddr addr, const Line &data, Time now,
 
     switch (options_.mode) {
       case DedupMode::Direct:
-        det = engine_.detect(data, now, /*allow_nvm_fill=*/true,
-                             precomputed_hash, precomputed_strong);
+        det = engine_.detect(data, now, /*allow_nvm_fill=*/true);
         if (!det.duplicate) {
             // Serial: the AES engine starts only after detection rules
             // out a duplicate.
@@ -157,8 +117,7 @@ DeWriteController::writeOne(LineAddr addr, const Line &data, Time now,
         startEncryption();
         speculative_encryption = true;
         encrypt_ready = now + config_.timing.aesLine;
-        det = engine_.detect(data, now, /*allow_nvm_fill=*/true,
-                             precomputed_hash, precomputed_strong);
+        det = engine_.detect(data, now, /*allow_nvm_fill=*/true);
         break;
 
       case DedupMode::Predicted:
@@ -166,8 +125,7 @@ DeWriteController::writeOne(LineAddr addr, const Line &data, Time now,
         if (predicted_dup) {
             // Predicted duplicate: direct path, and the PNA scheme
             // allows the in-NVM hash-table query.
-            det = engine_.detect(data, now, /*allow_nvm_fill=*/true,
-                                 precomputed_hash, precomputed_strong);
+            det = engine_.detect(data, now, /*allow_nvm_fill=*/true);
             if (!det.duplicate) {
                 startEncryption();
                 encrypt_ready = det.done + config_.timing.aesLine;
@@ -179,8 +137,7 @@ DeWriteController::writeOne(LineAddr addr, const Line &data, Time now,
             speculative_encryption = true;
             encrypt_ready = now + config_.timing.aesLine;
             det = engine_.detect(data, now,
-                                 /*allow_nvm_fill=*/!options_.pnaEnabled,
-                                 precomputed_hash, precomputed_strong);
+                                 /*allow_nvm_fill=*/!options_.pnaEnabled);
         }
         break;
     }

@@ -41,7 +41,10 @@ struct CtrlReadResult
     bool valid = false; //!< The line had been written before.
 };
 
-/** Upper bound on writeBatch() group size (= DEWRITE_BATCH's max). */
+/**
+ * Upper bound on writeBatch() group size: the core's batch former
+ * flushes when it holds this many writes.
+ */
 inline constexpr std::size_t kMaxWriteBatch = 64;
 
 /**
@@ -81,12 +84,9 @@ class MemController
     }
 
     /**
-     * Writes a group of @p count lines. The contract is strict
-     * equivalence: results, all simulated state, and all metrics are
-     * identical to calling write() per request in array order — the
-     * batch only lets a scheme overlap *host-side* work (digests,
-     * prefetches, AES pad generation) across members. The base
-     * implementation is exactly that serial loop.
+     * Writes a group of @p count lines by calling write() per request
+     * in array order, filling results[0..count). The core's batch
+     * former hands its staged writes over through here.
      */
     virtual void writeBatch(const CtrlWriteRequest *requests,
                             CtrlWriteResult *results, std::size_t count);

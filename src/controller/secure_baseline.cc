@@ -6,9 +6,6 @@
 #include "controller/secure_baseline.hh"
 
 #include <algorithm>
-#include <array>
-
-#include "common/check.hh"
 
 #include "obs/trace_ring.hh"
 
@@ -48,6 +45,7 @@ SecureBaselineController::name() const
     return label;
 }
 
+// dewrite-lint: hot
 CtrlWriteResult
 SecureBaselineController::write(LineAddr addr, const Line &data, Time now)
 {
@@ -95,48 +93,6 @@ SecureBaselineController::write(LineAddr addr, const Line &data, Time now)
     }
     noteWrite(latency, false, bits);
     return { latency, false };
-}
-
-// dewrite-lint: hot
-void
-SecureBaselineController::writeBatch(const CtrlWriteRequest *requests,
-                                     CtrlWriteResult *results,
-                                     std::size_t count)
-{
-    DEWRITE_DCHECK(count <= kMaxWriteBatch,
-                   "writeBatch of %zu exceeds kMaxWriteBatch", count);
-    if (count < 2) {
-        MemController::writeBatch(requests, results, count);
-        return;
-    }
-
-    // Warm the counter/written tables and the NVM store for every batch
-    // member before consuming any of them.
-    for (std::size_t i = 0; i < count; ++i) {
-        counters_.prefetch(requests[i].addr);
-        written_.prefetch(requests[i].addr);
-        device_.prefetchForWrite(requests[i].addr);
-    }
-
-    // Each member's pad key is fully predictable here: the write bumps
-    // the counter to current+1. A repeated address inside the batch
-    // (counter bumped twice) simply misses the exact-keyed cache and
-    // regenerates serially — correctness never depends on the guess.
-    std::array<PadRequest, kMaxWriteBatch> pad_requests;
-    std::size_t num_pads = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (options_.shredZeroLines && requests[i].data->isZero())
-            continue; // Shredded in metadata; no pad is generated.
-        const std::uint64_t *counter = counters_.find(requests[i].addr);
-        pad_requests[num_pads++] = { requests[i].addr,
-                                     (counter ? *counter : 0) + 1 };
-    }
-    padCache_.fill(cme_, pad_requests.data(), num_pads);
-
-    for (std::size_t i = 0; i < count; ++i) {
-        results[i] =
-            write(requests[i].addr, *requests[i].data, requests[i].now);
-    }
 }
 
 CtrlReadResult
@@ -209,8 +165,6 @@ SecureBaselineController::registerSchemeMetrics(
                 "pad lookups served from the host-side memo");
     pad.counter("misses", padCache_.missCounter(),
                 "pad lookups that regenerated through AES");
-    pad.counter("prefills", padCache_.prefillCounter(),
-                "pads speculatively batch-installed by fill()");
 
     obs::MetricRegistry::Scope shredder =
         registry.scope("controller.shredder");

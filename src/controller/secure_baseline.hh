@@ -48,14 +48,6 @@ class SecureBaselineController : public MemController
     CtrlReadResult read(LineAddr addr, Time now) override;
     CtrlReadResult readTiming(LineAddr addr, Time now) override;
 
-    /**
-     * Batched entry point: prefetches counter/written metadata and
-     * pre-generates the (fully predictable) per-member pads 8-wide
-     * before replaying the members through write() in order.
-     */
-    void writeBatch(const CtrlWriteRequest *requests,
-                    CtrlWriteResult *results, std::size_t count) override;
-
     std::string name() const override;
     Energy controllerEnergy() const override;
 

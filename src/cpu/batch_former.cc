@@ -9,20 +9,10 @@
 
 namespace dewrite {
 
-void
-BatchFormer::reset(std::size_t capacity)
-{
-    DEWRITE_CHECK(capacity >= 1 && capacity <= kMaxWriteBatch,
-                  "batch capacity %zu outside 1..%zu", capacity,
-                  kMaxWriteBatch);
-    capacity_ = capacity;
-    size_ = 0;
-}
-
 std::size_t
 BatchFormer::stage(LineAddr addr, const Line &data, Time now)
 {
-    DEWRITE_DCHECK(size_ < capacity_, "batch overflow");
+    DEWRITE_DCHECK(size_ < kMaxWriteBatch, "batch overflow");
     slots_[size_] = { addr, now, data };
     writesStaged_.increment();
     return size_++;
@@ -76,7 +66,7 @@ BatchFormer::registerMetrics(obs::MetricRegistry::Scope scope) const
     scope.counter("flush_queue_full", flushQueueFull_,
                   "batches flushed by a full store queue");
     scope.counter("flush_batch_full", flushBatchFull_,
-                  "batches flushed at DEWRITE_BATCH staged writes");
+                  "batches flushed at kMaxWriteBatch staged writes");
     scope.counter("flush_trace_end", flushTraceEnd_,
                   "batch tails drained at end of trace");
 }

@@ -3,9 +3,10 @@
  * The write-batch former shared by every trace-driven core loop.
  *
  * A former stages consecutive store-queue writes and hands them to
- * MemController::writeBatch() as one group — the host-side batching of
- * DESIGN.md §5f. It owns the staging slots (fixed capacity, no
- * allocation after construction) and the flush-reason accounting:
+ * MemController::writeBatch() as one group, which the controller
+ * services one write() at a time in stage order. It owns the staging
+ * slots (fixed capacity kMaxWriteBatch, no allocation after
+ * construction) and the flush-reason accounting:
  * every non-empty flush is attributed to the event that forced it
  * (a read that must observe the staged writes, a full store queue, a
  * full batch, or the end of the trace), so the registry exposes *why*
@@ -13,8 +14,7 @@
  *
  * Each CoreModel owns one former, shared by its pull loop (runMulti,
  * the experiment path) and its push mode (feed/finish, the service's
- * per-shard loop) through one flush, so the strict-equivalence
- * contract lives in one place.
+ * per-shard loop) through one flush.
  */
 
 #ifndef DEWRITE_CPU_BATCH_FORMER_HH
@@ -38,21 +38,19 @@ class BatchFormer
     {
         Read,      //!< A read must observe every staged write first.
         QueueFull, //!< The store queue reached its drain threshold.
-        BatchFull, //!< The batch reached DEWRITE_BATCH staged writes.
+        BatchFull, //!< The batch reached kMaxWriteBatch staged writes.
         TraceEnd,  //!< End of trace / end of run drains the tail.
     };
 
     /**
-     * Arms the former for a run with @p capacity staged writes per
-     * batch (1..kMaxWriteBatch; normally writeBatchSize()). Discards
-     * anything staged; counters persist across runs.
+     * Arms the former for a run: discards anything staged; counters
+     * persist across runs.
      */
-    void reset(std::size_t capacity);
+    void reset() { size_ = 0; }
 
-    std::size_t capacity() const { return capacity_; }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    bool full() const { return size_ >= capacity_; }
+    bool full() const { return size_ >= kMaxWriteBatch; }
 
     /**
      * Stages one write (copied — the trace buffer may be overwritten
@@ -80,8 +78,8 @@ class BatchFormer
 
     /**
      * Hands every staged write to @p controller.writeBatch() in stage
-     * order, filling results[0..size) — the strict-equivalence batch
-     * contract — and counts the flush under @p reason. Empty formers
+     * order, filling results[0..size), and counts the flush under
+     * @p reason. Empty formers
      * return 0 without touching the controller or the counters.
      * @return the number of writes flushed.
      */
@@ -122,7 +120,6 @@ class BatchFormer
     };
 
     std::array<Slot, kMaxWriteBatch> slots_;
-    std::size_t capacity_ = 1;
     std::size_t size_ = 0;
 
     Counter flushRead_;

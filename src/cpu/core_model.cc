@@ -7,21 +7,11 @@
 
 #include <algorithm>
 
-#include "common/env.hh"
 #include "controller/mem_controller.hh"
 #include "obs/telemetry.hh"
 #include "trace/trace.hh"
 
 namespace dewrite {
-
-std::size_t
-writeBatchSize()
-{
-    // Re-read per call (it runs once per runMulti), which keeps the
-    // knob testable with setenv — the env.hh no-latch contract.
-    return static_cast<std::size_t>(
-        envUint("DEWRITE_BATCH", 16, 1, kMaxWriteBatch));
-}
 
 CoreModel::CoreModel(const TimingConfig &timing)
     : timing_(timing), depth_(std::max(1u, timing.storeQueueDepth))
@@ -43,11 +33,10 @@ CoreModel::registerMetrics(obs::MetricRegistry::Scope scope) const
 }
 
 void
-CoreModel::restart(MemController &controller,
-                   std::size_t batch_capacity, std::size_t cores)
+CoreModel::restart(MemController &controller, std::size_t cores)
 {
     controller_ = &controller;
-    former_.reset(batch_capacity);
+    former_.reset();
     totals_ = RunResult();
     cores_.assign(cores, CoreState());
     for (CoreState &core : cores_)
@@ -55,9 +44,9 @@ CoreModel::restart(MemController &controller,
 }
 
 void
-CoreModel::attach(MemController &controller, std::size_t batch_capacity)
+CoreModel::attach(MemController &controller)
 {
-    restart(controller, batch_capacity, 1);
+    restart(controller, 1);
 }
 
 // dewrite-analyze: root(shard-isolation)
@@ -186,14 +175,12 @@ RunResult
 CoreModel::runMulti(const std::vector<TraceSource *> &traces,
                     MemController &controller, std::uint64_t max_events)
 {
-    // The batch former exploits a slack in the core model: a write's
-    // controller latency feeds back into core scheduling only when the
-    // store queue drains, so consecutive globally-selected writes can
-    // be staged and handed to the controller as one writeBatch() —
-    // which replays them in the exact serial order (strict-equivalence
-    // contract) but overlaps the host-side work. Any read, a full
-    // queue, or a full batch forces the flush first.
-    restart(controller, writeBatchSize(), traces.size());
+    // A write's controller latency feeds back into core scheduling
+    // only when the store queue drains, so writes are staged and
+    // handed to the controller together at the next read, full queue
+    // or full batch. Once a core's queue has filled, every write
+    // fills it again and is flushed alone (DESIGN.md §5f).
+    restart(controller, traces.size());
 
     /** A core's next event, pulled ahead of its issue. */
     struct Pending

@@ -31,12 +31,6 @@ namespace obs {
 class ShardTelemetry;
 } // namespace obs
 
-/**
- * Writes handed to the controller per batched step: DEWRITE_BATCH
- * (envUint, 1..64, default 16; 1 disables batching). Read per run.
- */
-std::size_t writeBatchSize();
-
 /** Aggregate outcome of one simulation run. */
 struct RunResult
 {
@@ -99,11 +93,9 @@ class CoreModel
      * sequence yields results bit-identical to run() over it.
      *
      * attach() binds the core to @p controller (driven exclusively)
-     * and restarts it from a fresh clock. @p batch_capacity is normally
-     * writeBatchSize(); the caller resolves it once so every shard of
-     * a service run agrees even if the environment changes mid-run.
+     * and restarts it from a fresh clock.
      */
-    void attach(MemController &controller, std::size_t batch_capacity);
+    void attach(MemController &controller);
 
     /** Feeds @p count events in order to core 0. */
     void feed(const MemEvent *events, std::size_t count);
@@ -160,8 +152,7 @@ class CoreModel
     };
 
     /** Resets @p cores cores to a fresh clock behind @p controller. */
-    void restart(MemController &controller, std::size_t batch_capacity,
-                 std::size_t cores);
+    void restart(MemController &controller, std::size_t cores);
 
     /** Issues @p event on @p core: the one per-event timing step. */
     void issue(CoreState &core, const MemEvent &event);

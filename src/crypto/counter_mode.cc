@@ -5,7 +5,6 @@
 
 #include "crypto/counter_mode.hh"
 
-#include <algorithm>
 #include <cstring>
 
 namespace dewrite {
@@ -35,45 +34,6 @@ CounterModeEngine::makePad(LineAddr addr, std::uint64_t counter) const
     cipher_.encryptBlocks(seeds.data(), otps.data(), kAesBlocksPerLine);
     std::memcpy(pad.data(), otps.data(), kAesBlocksPerLine * kAesBlockSize);
     return pad;
-}
-
-void
-CounterModeEngine::makePads(const PadRequest *requests, std::size_t count,
-                            Line *pads) const
-{
-    // Seeds for up to eight lines (128 blocks) are staged together so
-    // the AES-NI kernel's eight-wide interleave runs over one long run
-    // of independent blocks. Per-block output is identical to
-    // makePad(); only the grouping changes.
-    constexpr std::size_t kChunkLines = 8;
-    std::array<AesBlock, kChunkLines * kAesBlocksPerLine> seeds;
-    std::array<AesBlock, kChunkLines * kAesBlocksPerLine> otps;
-
-    while (count > 0) {
-        const std::size_t chunk = std::min(count, kChunkLines);
-        for (std::size_t i = 0; i < chunk; ++i) {
-            AesBlock base{};
-            std::memcpy(base.data(), &requests[i].addr, 8);
-            std::memcpy(base.data() + 8, &requests[i].counter, 7);
-            AesBlock *line_seeds = seeds.data() + i * kAesBlocksPerLine;
-            for (std::size_t block = 0; block < kAesBlocksPerLine;
-                 ++block) {
-                line_seeds[block] = base;
-                line_seeds[block][15] =
-                    static_cast<std::uint8_t>(block);
-            }
-        }
-        cipher_.encryptBlocks(seeds.data(), otps.data(),
-                              chunk * kAesBlocksPerLine);
-        for (std::size_t i = 0; i < chunk; ++i) {
-            std::memcpy(pads[i].data(),
-                        otps.data() + i * kAesBlocksPerLine,
-                        kAesBlocksPerLine * kAesBlockSize);
-        }
-        requests += chunk;
-        pads += chunk;
-        count -= chunk;
-    }
 }
 
 Line

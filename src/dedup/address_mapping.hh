@@ -29,12 +29,6 @@ class AddressMappingTable
     // the hot edge is a member-name over-approximation
     void reserve(std::uint64_t num_lines) { entries_.reserve(num_lines); }
 
-    /** Pure cache-warming hint for logical line @p init_addr's entry. */
-    void prefetch(LineAddr init_addr) const
-    {
-        entries_.prefetch(init_addr);
-    }
-
     /** True iff logical line @p init_addr is remapped to another slot. */
     bool isRemapped(LineAddr init_addr) const;
 

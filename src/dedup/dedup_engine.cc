@@ -17,7 +17,6 @@
 #include "dedup/dedup_engine.hh"
 
 #include <algorithm>
-#include <array>
 
 #include "common/check.hh"
 #include "common/crc32.hh"
@@ -197,8 +196,6 @@ DedupEngine::registerMetrics(obs::MetricRegistry::Scope scope) const
                 "pad lookups served from the host-side memo");
     pad.counter("misses", padCache_.missCounter(),
                 "pad lookups that regenerated through AES");
-    pad.counter("prefills", padCache_.prefillCounter(),
-                "pads speculatively batch-installed by fill()");
 
     if (stageProfile_) {
         // Registered only under DEWRITE_STAGE_PROFILE=1 so the default
@@ -213,7 +210,7 @@ DedupEngine::registerMetrics(obs::MetricRegistry::Scope scope) const
                     [this] {
                         return static_cast<double>(stageCycles_.probe);
                     },
-                    "host cycles in metadata probes and prefetch");
+                    "host cycles in metadata probes");
         stage.gauge("pad_cycles",
                     [this] {
                         return static_cast<double>(stageCycles_.pad);
@@ -291,141 +288,6 @@ DedupEngine::storedEquals(LineAddr slot, const Line &plaintext)
     return equalsXor(*ciphertext, plaintext, pad);
 }
 
-std::uint64_t
-DedupEngine::peekBumpedCounter(LineAddr slot) const
-{
-    const std::uint64_t mask = (1ULL << options_.counterBits) - 1;
-    const std::uint64_t minor = (counterOf(slot) + 1) & mask;
-    const std::uint64_t *major = majors_.find(slot);
-    std::uint64_t high = major ? *major : 0;
-    if (minor == 0)
-        ++high;
-    return (high << options_.counterBits) | minor;
-}
-
-// dewrite-lint: hot
-void
-DedupEngine::prepareBatch(const CtrlWriteRequest *requests,
-                          std::size_t count, std::uint64_t *hashes,
-                          StrongFp *strong_fps, std::uint8_t *strong_ready)
-{
-    DEWRITE_DCHECK(count <= kMaxWriteBatch, "batch of %zu exceeds %zu",
-                   count, kMaxWriteBatch);
-
-    // In the weak+strong tier, candidates whose fingerprint is already
-    // cached take the fingerprint compare instead of a confirmation
-    // read, so their line/pad prefetches would be pure waste; the freed
-    // AES slot batch-computes the members' own strong fingerprints.
-    const DetectPolicy mode = fingerprinter_.cryptographic()
-        ? DetectPolicy::WeakOnly
-        : operationalDetectMode();
-    const bool strong_mode = mode == DetectPolicy::WeakStrong &&
-        strong_fps && strong_ready;
-    const auto strongTier = [&](const HashEntry &entry) {
-        return strong_mode && entry.strongValid &&
-               entry.reference != HashStore::kMaxReference;
-    };
-    if (strong_ready) {
-        for (std::size_t i = 0; i < count; ++i)
-            strong_ready[i] = 0;
-    }
-
-    // Round 1: fingerprint every member back to back — pure SIMD CRC
-    // work with no dependent loads between members.
-    {
-        obs::StageTimer timer(stageSink(stageCycles_.digest));
-        for (std::size_t i = 0; i < count; ++i)
-            hashes[i] = fingerprinter_.fingerprint(*requests[i].data);
-    }
-
-    // Round 2: issue every member's metadata prefetches before any
-    // probe result is consumed, so the misses overlap each other
-    // instead of serializing behind one another.
-    {
-        obs::StageTimer timer(stageSink(stageCycles_.probe));
-        for (std::size_t i = 0; i < count; ++i) {
-            const LineAddr addr = requests[i].addr;
-            hashStore_.prefetch(hashes[i]);
-            mapping_.prefetch(addr);
-            invHash_.prefetch(addr);
-            written_.prefetch(addr);
-            device_.prefetchForWrite(addr);
-        }
-    }
-
-    // Round 3: walk the (now warm) buckets and prefetch each live
-    // candidate's stored line and metadata homes — again all members
-    // before any consumption. Strong-tier candidates skip the line
-    // prefetch (no confirmation read will touch them) but keep the
-    // metadata warm-ups: detect still probes their records.
-    {
-        obs::StageTimer timer(stageSink(stageCycles_.probe));
-        for (std::size_t i = 0; i < count; ++i) {
-            const ChainView chain = hashStore_.lookup(hashes[i]);
-            unsigned probes = 0;
-            for (std::size_t j = chain.size(); j-- > 0;) {
-                if (++probes > options_.maxChainProbe)
-                    break;
-                const LineAddr slot = chain[j].realAddr;
-                if (!strongTier(chain[j]))
-                    device_.prefetchLine(slot);
-                mapping_.prefetch(slot);
-                invHash_.prefetch(slot);
-            }
-        }
-    }
-
-    // In strong mode, batch-generate each live-chain member's own
-    // strong fingerprint in the slot the skipped confirm pads vacated;
-    // detect() takes it as @p precomputed_strong instead of computing
-    // inline. Members with an empty chain never need one.
-    if (strong_mode) {
-        obs::StageTimer timer(stageSink(stageCycles_.digest));
-        for (std::size_t i = 0; i < count; ++i) {
-            if (hashStore_.lookup(hashes[i]).empty())
-                continue;
-            strong_fps[i] = strongFingerprint(*requests[i].data);
-            strong_ready[i] = 1;
-        }
-    }
-
-    // ...then collect the pads the members will need: confirm pads for
-    // each candidate that will be compared, and a predicted in-place
-    // commit pad when the chain is empty (the overwhelmingly likely
-    // unique-commit outcome). Guesses that turn out wrong — a commit
-    // that lands in a different slot, a counter bumped by an earlier
-    // member — simply miss the exact-keyed pad cache and regenerate.
-    std::array<PadRequest, 2 * kMaxWriteBatch> pad_requests;
-    std::size_t num_pads = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const ChainView chain = hashStore_.lookup(hashes[i]);
-        if (chain.size() == 0) {
-            if (num_pads < pad_requests.size()) {
-                pad_requests[num_pads++] = {
-                    requests[i].addr,
-                    peekBumpedCounter(requests[i].addr)
-                };
-            }
-            continue;
-        }
-        unsigned probes = 0;
-        for (std::size_t j = chain.size(); j-- > 0;) {
-            if (++probes > options_.maxChainProbe ||
-                num_pads >= pad_requests.size()) {
-                break;
-            }
-            if (strongTier(chain[j]))
-                continue;
-            const LineAddr slot = chain[j].realAddr;
-            pad_requests[num_pads++] = { slot, effectiveCounter(slot) };
-        }
-    }
-    if (num_pads > 0) {
-        obs::StageTimer timer(stageSink(stageCycles_.pad));
-        padCache_.fill(cme_, pad_requests.data(), num_pads);
-    }
-}
-
 void
 DedupEngine::noteCommitForEpoch(bool duplicate)
 {
@@ -481,18 +343,12 @@ DedupEngine::references(LineAddr init_addr, LineAddr slot) const
 }
 
 DetectOutcome
-DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
-                    const std::uint64_t *precomputed_hash,
-                    const StrongFp *precomputed_strong)
+DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill)
 {
     DetectOutcome out;
     {
-        // A batch prepared by prepareBatch() hands back the digest it
-        // already computed (same function, same input — identical).
         obs::StageTimer timer(stageSink(stageCycles_.digest));
-        out.hash = precomputed_hash
-            ? *precomputed_hash
-            : fingerprinter_.fingerprint(plaintext);
+        out.hash = fingerprinter_.fingerprint(plaintext);
     }
     Time t = now + fingerprinter_.latency();
     energy_ += fingerprinter_.energy(config_.energy);
@@ -542,17 +398,14 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
 
     // The incoming line's strong fingerprint is computed (and charged)
     // at most once per detection, lazily at the first candidate that
-    // needs it. A batch prepared in strong mode hands back the value it
-    // already pushed through the batched AES slot.
+    // needs it.
     StrongFp incoming_fp;
     bool incoming_fp_ready = false;
     const auto incomingStrongFp = [&]() -> const StrongFp & {
         if (!incoming_fp_ready) {
             {
                 obs::StageTimer timer(stageSink(stageCycles_.digest));
-                incoming_fp = precomputed_strong
-                    ? *precomputed_strong
-                    : strongFingerprint(plaintext);
+                incoming_fp = strongFingerprint(plaintext);
             }
             incoming_fp_ready = true;
             strongFpComputes_.increment();

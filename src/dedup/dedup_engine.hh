@@ -38,9 +38,6 @@
 // writes with the controller's bit-flip model; inverting this
 // edge would duplicate the Flip-N-Write cost tables
 #include "controller/bitlevel/bitflip.hh"
-// dewrite-analyze: allow(layering) legacy back-edge for the
-// metadata-write callback interface (DESIGN.md 5i)
-#include "controller/mem_controller.hh"
 #include "crypto/counter_mode.hh"
 #include "dedup/fingerprint.hh"
 #include "obs/metric_registry.hh"
@@ -189,39 +186,7 @@ class DedupEngine
      *        non-authoritative instead of querying the in-NVM table.
      */
     DetectOutcome detect(const Line &plaintext, Time now,
-                         bool allow_nvm_fill,
-                         const std::uint64_t *precomputed_hash = nullptr,
-                         const StrongFp *precomputed_strong = nullptr);
-
-    /**
-     * Host-side preparation for a batch of writes about to be pushed
-     * through detect()/commit one by one (the batched pipeline of
-     * DESIGN.md §5f). Three rounds, each issuing all its prefetches
-     * before any member consumes a result:
-     *  1. fingerprint every member with the slice-by-8 CRC kernel,
-     *     storing the digests into @p hashes (pass each back to
-     *     detect() as @p precomputed_hash);
-     *  2. prefetch every member's hash-store bucket, mapping /
-     *     inverted-hash / written entries, and NVM store pages;
-     *  3. against the warmed buckets, prefetch each live candidate's
-     *     stored line, then batch-generate the pads the members will
-     *     need (confirm pads for candidates, a predicted in-place
-     *     commit pad for empty chains) through the eight-wide AES
-     *     kernel into the pad cache. In the weak+strong detection
-     *     mode, candidates with a valid cached fingerprint skip the
-     *     line/pad prefetch (no confirmation read will happen) and
-     *     the members' own strong fingerprints are batch-computed
-     *     into @p strong_fps in the same AES slot instead.
-     * Purely host-side: simulated timing, energy, and metadata state
-     * are untouched, so results are byte-identical with or without it.
-     * @p strong_fps/@p strong_ready (arrays of @p count, may be null)
-     * return the precomputed strong fingerprints; pass each flagged
-     * member's back to detect() as @p precomputed_strong.
-     */
-    void prepareBatch(const CtrlWriteRequest *requests, std::size_t count,
-                      std::uint64_t *hashes,
-                      StrongFp *strong_fps = nullptr,
-                      std::uint8_t *strong_ready = nullptr);
+                         bool allow_nvm_fill);
 
     /**
      * Commits a write whose content detect() confirmed at
@@ -398,13 +363,6 @@ class DedupEngine
      * plaintext, and pad so no decrypted line is materialized.
      */
     bool storedEquals(LineAddr slot, const Line &plaintext);
-
-    /**
-     * The effective counter bumpCounter(@p slot) *would* return,
-     * without mutating anything — used to pre-generate likely commit
-     * pads for a batch.
-     */
-    std::uint64_t peekBumpedCounter(LineAddr slot) const;
 
     /**
      * Adaptive-policy epoch accounting: every commit feeds the

@@ -91,14 +91,6 @@ class HashStore
      */
     ChainView lookup(std::uint64_t hash) const;
 
-    /**
-     * Warms the bucket a lookup(@p hash) will probe — the chain head
-     * and its inline entries live in the same slot, so one hint covers
-     * the common (collision-free) whole chain. Pure hint: no state
-     * change, per the FlatMap::prefetch contract.
-     */
-    void prefetch(std::uint64_t hash) const { chains_.prefetch(hash); }
-
     /** Inserts a new record with reference 1. The pair must be absent. */
     void insert(std::uint64_t hash, LineAddr real_addr);
 

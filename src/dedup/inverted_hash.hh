@@ -29,12 +29,6 @@ class InvertedHashTable
     // the hot edge is a member-name over-approximation
     void reserve(std::uint64_t num_lines) { entries_.reserve(num_lines); }
 
-    /** Pure cache-warming hint for slot @p real_addr's entry. */
-    void prefetch(LineAddr real_addr) const
-    {
-        entries_.prefetch(real_addr);
-    }
-
     /** True iff slot @p real_addr currently holds valid data. */
     bool holdsData(LineAddr real_addr) const;
 

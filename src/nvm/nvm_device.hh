@@ -117,13 +117,6 @@ class NvmDevice
      */
     const Line *peekPtr(LineAddr addr) const;
 
-    /** @{ Pure cache-warming hints for an upcoming access to @p addr:
-     * the stored content (reads/compares), plus the wear-tracking entry
-     * for writes. Never allocate; safe to issue speculatively. */
-    void prefetchLine(LineAddr addr) const;
-    void prefetchForWrite(LineAddr addr) const;
-    /** @} */
-
     /** True iff the line has ever been written. */
     bool isWritten(LineAddr addr) const;
 

@@ -63,9 +63,6 @@ DedupService::DedupService(const ServiceOptions &options)
       sink_(obs::TelemetryConfig::fromEnv()),
       roundCounts_(options_.shards, 0)
 {
-    // Every shard of a run must agree on the batch capacity even if
-    // the environment changes mid-run, so resolve it exactly once.
-    const std::size_t batch = writeBatchSize();
     const SystemConfig config =
         router_.shardConfig(options_.base, totalEvents_);
     for (std::size_t k = 0; k < shards_.size(); ++k) {
@@ -73,7 +70,7 @@ DedupService::DedupService(const ServiceOptions &options)
         shard.system = std::make_unique<System>(config, options_.scheme);
         shard.core =
             std::make_unique<CoreModel>(shard.system->config().timing);
-        shard.core->attach(shard.system->controller(), batch);
+        shard.core->attach(shard.system->controller());
         shard.telemetry = std::make_unique<obs::ShardTelemetry>(
             shards_.size(), k, options_.tenants,
             options_.linesPerTenant);

@@ -132,13 +132,12 @@ experimentEvents()
     // Every bench resolves its event budget here, so this is the
     // shared spot to validate the rest of the experiment environment:
     // a malformed DEWRITE_LOG, DEWRITE_AUDIT, DEWRITE_AUDIT_EPOCH,
-    // DEWRITE_BATCH, DEWRITE_DETECT, DEWRITE_DETECT_EPOCH,
-    // DEWRITE_STAGE_PROFILE, or DEWRITE_TELEMETRY_EVERY dies before any
+    // DEWRITE_DETECT, DEWRITE_DETECT_EPOCH, DEWRITE_STAGE_PROFILE, or
+    // DEWRITE_TELEMETRY_EVERY dies before any
     // cell runs (even when the value would never be read).
     logLevel();
     auditEnabled();
     auditEpochWrites();
-    writeBatchSize();
     detectPolicyFromEnv();
     detectEpochFromEnv();
     obs::stageProfileEnabled();

@@ -265,72 +265,6 @@ TEST(FlatMap, PropertyAgainstUnorderedMapOracle)
     EXPECT_EQ(visited, oracle.size());
 }
 
-// prefetch() is a pure cache hint: interleaving it with every mutation
-// at high frequency must leave the observable behaviour — checked
-// against the std oracle — exactly as without it, including on an
-// empty map (no slot array to touch) and for wildly out-of-range keys.
-TEST(FlatMap, PrefetchIsPureHint)
-{
-    FlatMap<std::uint64_t, std::uint64_t> map;
-    map.prefetch(42); // Empty map: must be a safe no-op.
-
-    std::unordered_map<std::uint64_t, std::uint64_t> oracle;
-    Rng rng(0xcafed00d);
-
-    for (int step = 0; step < 30000; ++step) {
-        const std::uint64_t key = rng.nextBelow(2000);
-        map.prefetch(key);
-        map.prefetch(~key); // A key that is never inserted.
-        const std::uint64_t op = rng.nextBelow(10);
-        if (op < 5) {
-            const std::uint64_t value = rng.next64();
-            auto [slot, inserted] = map.tryEmplace(key, value);
-            const auto [it, oinserted] = oracle.try_emplace(key, value);
-            EXPECT_EQ(inserted, oinserted);
-            EXPECT_EQ(*slot, it->second);
-        } else if (op < 7) {
-            map[key] += 1;
-            oracle[key] += 1;
-        } else if (op < 9) {
-            EXPECT_EQ(map.erase(key), oracle.erase(key) > 0);
-        } else {
-            const std::uint64_t *found = map.find(key);
-            const auto it = oracle.find(key);
-            if (it == oracle.end()) {
-                EXPECT_EQ(found, nullptr);
-            } else {
-                ASSERT_NE(found, nullptr);
-                EXPECT_EQ(*found, it->second);
-            }
-        }
-        map.prefetch(key);
-        ASSERT_EQ(map.size(), oracle.size());
-    }
-
-    std::size_t visited = 0;
-    map.forEach([&](std::uint64_t key, std::uint64_t value) {
-        ++visited;
-        const auto it = oracle.find(key);
-        ASSERT_NE(it, oracle.end()) << "phantom key " << key;
-        EXPECT_EQ(value, it->second);
-    });
-    EXPECT_EQ(visited, oracle.size());
-}
-
-TEST(FlatSet, PrefetchIsPureHint)
-{
-    FlatSet<std::uint64_t> set;
-    set.prefetch(7); // Empty set: must be a safe no-op.
-    for (std::uint64_t key = 0; key < 500; ++key) {
-        set.prefetch(key);
-        set.insert(key * 3);
-        set.prefetch(key * 3);
-        EXPECT_TRUE(set.contains(key * 3));
-        EXPECT_FALSE(set.contains(key * 3 + 1));
-    }
-    EXPECT_EQ(set.size(), 500u);
-}
-
 TEST(FlatSet, InsertContainsErase)
 {
     FlatSet<std::uint64_t> set;

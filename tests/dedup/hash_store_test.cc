@@ -31,31 +31,6 @@ TEST(HashStoreTest, InsertAndLookup)
     EXPECT_EQ(store.size(), 1u);
 }
 
-// prefetch() is a pure cache hint: hammering it across present,
-// absent, and colliding hashes — including on an empty store — must
-// not perturb chains, references, or statistics.
-TEST(HashStoreTest, PrefetchIsPureHint)
-{
-    HashStore store;
-    store.prefetch(0x1234); // Empty store: must be a safe no-op.
-    EXPECT_TRUE(store.lookup(0x1234).empty());
-
-    for (std::uint64_t i = 0; i < 200; ++i) {
-        store.prefetch(i);
-        store.insert(i % 50, i); // 4-deep chains on 50 hashes.
-        store.prefetch(i % 50);
-        store.prefetch(i + 1000); // Never-inserted hashes.
-    }
-    EXPECT_EQ(store.size(), 200u);
-    EXPECT_EQ(store.distinctHashes(), 50u);
-    EXPECT_EQ(store.maxChainLength(), 4u);
-    for (std::uint64_t hash = 0; hash < 50; ++hash) {
-        store.prefetch(hash);
-        EXPECT_EQ(store.lookup(hash).size(), 4u);
-        EXPECT_EQ(store.reference(hash, hash), 1u);
-    }
-}
-
 TEST(HashStoreTest, CollisionChains)
 {
     HashStore store;

@@ -46,7 +46,7 @@ TEST(BenchReportTest, WritesUniformHeaderAndPayload)
     EXPECT_NE(text.find("\"git_dirty\""), std::string::npos);
     EXPECT_NE(text.find("\"host_cpus\""), std::string::npos);
     EXPECT_NE(text.find("\"knobs\""), std::string::npos);
-    EXPECT_NE(text.find("\"DEWRITE_BATCH\""), std::string::npos);
+    EXPECT_NE(text.find("\"DEWRITE_SHARDS\""), std::string::npos);
     EXPECT_NE(text.find("\"payload\": 7"), std::string::npos);
     std::remove("BENCH_unit_smoke.json");
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Registry exposure of the PR's host-side counters: the PadCache
- * hit/miss/prefill counters, the batch former's flush reasons, and the
+ * Registry exposure of the host-side counters: the PadCache
+ * hit/miss counters, the batch former's flush reasons, and the
  * service's merged per-shard snapshot. All of these are host-side
  * accounting — the suite also pins that none of them leak into the
  * legacy StatSet view that result signatures are built from.
@@ -52,7 +52,6 @@ TEST(PipelineMetrics, DedupRunExposesPadCacheAndFlushReasons)
         sampleValue(samples, "controller.dedup.pad_cache.hits");
     const double misses =
         sampleValue(samples, "controller.dedup.pad_cache.misses");
-    sampleValue(samples, "controller.dedup.pad_cache.prefills");
     EXPECT_GT(hits + misses, 0.0);
 
     // Batch-former flush reasons under the core's scope. Every staged

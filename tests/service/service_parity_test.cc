@@ -88,9 +88,9 @@ TEST_P(ServiceParity, FingerprintsAreThreadCountInvariant)
 
 INSTANTIATE_TEST_SUITE_P(Threads, ServiceParity,
                          testing::Values(1u, 8u),
-                         [](const auto &info) {
+                         [](const auto &param_info) {
                              return "threads" +
-                                    std::to_string(info.param);
+                                    std::to_string(param_info.param);
                          });
 
 TEST(ServiceAudit, EveryShardPassesTheRunEndAudit)

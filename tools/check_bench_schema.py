@@ -87,11 +87,8 @@ def check_provenance(path: str, report: dict) -> None:
 
 
 def check_throughput_payload(path: str, report: dict) -> None:
-    """BENCH_throughput carries batching, parity, and stage fields."""
-    if not _is_uint(report.get("write_batch")) \
-            or report.get("write_batch") < 1:
-        fail(path, "'write_batch' must be a positive integer")
-
+    """BENCH_throughput carries per-scheme fingerprints, stage cycles
+    and events/sec ratios."""
     schemes = report.get("schemes")
     if not isinstance(schemes, list) or not schemes:
         fail(path, "'schemes' must be a non-empty array")
@@ -177,8 +174,7 @@ def check_detection_parity(path: str) -> None:
     report = load_file(path)
     check_report(path, report, check_name=False)
     if report["bench"] != "detection":
-        fail(path, "single-file --parity expects a service or "
-                   "detection report")
+        fail(path, "--parity expects a service or detection report")
     prints = {e["policy"]: e["detection_fingerprint"]
               for e in report["policies"]}
     for policy in ("weak-strong", "adaptive"):
@@ -195,9 +191,6 @@ def check_detection_parity(path: str) -> None:
 def check_service_payload(path: str, report: dict) -> None:
     """BENCH_service carries the shard-scaling sweep plus the per-shard
     service/reference fingerprint pairs the parity mode verifies."""
-    if not _is_uint(report.get("write_batch")) \
-            or report.get("write_batch") < 1:
-        fail(path, "'write_batch' must be a positive integer")
     if not _is_uint(report.get("host_cpus")) \
             or report.get("host_cpus") < 1:
         fail(path, "'host_cpus' must be a positive integer")
@@ -283,8 +276,7 @@ def check_service_parity(path: str) -> None:
     report = load_file(path)
     check_report(path, report, check_name=False)
     if report["bench"] != "service":
-        fail(path, "single-file --parity expects a service or "
-                   "detection report")
+        fail(path, "--parity expects a service or detection report")
     for entry in report["configs"]:
         for shard in entry["shards_detail"]:
             if shard["service_fingerprint"] \
@@ -295,31 +287,6 @@ def check_service_parity(path: str) -> None:
                            f"reference {shard['reference_fingerprint']}")
     if not report["parity_ok"]:
         fail(path, "report flags parity_ok=false")
-
-
-def check_parity(path_a: str, path_b: str) -> None:
-    """Two throughput reports (e.g. different DEWRITE_BATCH values)
-    must carry identical per-scheme result fingerprints — the batching
-    strict-equivalence contract. Renamed copies are expected here, so
-    the file-name check is skipped."""
-    reports = []
-    for path in (path_a, path_b):
-        report = load_file(path)
-        check_report(path, report, check_name=False)
-        if report["bench"] != "throughput":
-            fail(path, "--parity expects throughput reports")
-        reports.append(report)
-
-    prints = [{e["scheme"]: e["result_fingerprint"]
-               for e in r["schemes"]} for r in reports]
-    if set(prints[0]) != set(prints[1]):
-        fail(path_b, f"scheme sets differ: {sorted(prints[0])} vs "
-                     f"{sorted(prints[1])}")
-    for scheme, fingerprint in prints[0].items():
-        if prints[1][scheme] != fingerprint:
-            fail(path_b, f"parity mismatch for {scheme!r}: "
-                         f"{fingerprint} (in {path_a}) vs "
-                         f"{prints[1][scheme]}")
 
 
 def load_file(path: str) -> object:
@@ -389,15 +356,14 @@ def self_test() -> int:
         else:
             raise AssertionError(f"accepted broken report: {expect}")
 
-    def throughput(fingerprint: int = 7, write_batch: int = 16) -> dict:
+    def throughput() -> dict:
         return {"bench": "throughput", "schema_version": SCHEMA_VERSION,
                 "events_per_cell": 6000, "threads": 1,
                 "provenance": _provenance(),
-                "write_batch": write_batch,
                 "schemes": [{"scheme": "secure-baseline",
-                             "result_fingerprint": fingerprint},
+                             "result_fingerprint": 7},
                             {"scheme": "dewrite-direct",
-                             "result_fingerprint": fingerprint,
+                             "result_fingerprint": 7,
                              "stage_cycles": {s: 0 for s in STAGES}}],
                 "ratios": {"dewrite-predicted": 0.85}}
 
@@ -406,8 +372,6 @@ def self_test() -> int:
     check_report("BENCH_throughput.json", throughput())
 
     broken_throughput = [
-        ("'write_batch' must be a positive integer",
-         throughput(write_batch=0)),
         ("'schemes' must be a non-empty array",
          {**throughput(), "schemes": []}),
         ("'result_fingerprint' must be",
@@ -438,7 +402,7 @@ def self_test() -> int:
         return {"bench": "service", "schema_version": SCHEMA_VERSION,
                 "events_per_cell": 6000, "threads": 1,
                 "provenance": _provenance(),
-                "write_batch": 16, "host_cpus": 1, "tenants": 16,
+                "host_cpus": 1, "tenants": 16,
                 "configs": [{"shards": 1, "threads": 1, "events": 6000,
                              "wall_seconds": 0.5,
                              "events_per_sec": 12000.0,
@@ -546,8 +510,6 @@ def self_test() -> int:
         else:
             raise AssertionError(f"accepted broken report: {expect}")
 
-    # Parity comparison: identical fingerprints pass, a drifted one is
-    # named in the diagnostic.
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -556,17 +518,6 @@ def self_test() -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(report, handle)
             return path
-
-        a = dump("BENCH_throughput.batch1.json", throughput())
-        b = dump("BENCH_throughput.json", throughput())
-        check_parity(a, b)
-        c = dump("BENCH_throughput.drift.json", throughput(fingerprint=8))
-        try:
-            check_parity(a, c)
-        except SchemaError as error:
-            assert "parity mismatch" in str(error), str(error)
-        else:
-            raise AssertionError("accepted drifted parity fingerprints")
 
         # Single-file service parity: matching fingerprints pass, a
         # shard that diverged from its reference is named.
@@ -615,7 +566,7 @@ def self_test() -> int:
                 str(error)
         else:
             raise AssertionError("accepted a throughput report in "
-                                 "single-file parity mode")
+                                 "parity mode")
 
     print("check_bench_schema self-test: OK")
     return 0
@@ -635,13 +586,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--self-test", action="store_true",
                         help="run the seeded-violation self-test and "
                              "exit")
-    parser.add_argument("--parity", nargs="+", metavar="REPORT",
-                        help="with two throughput reports, compare "
-                             "their per-scheme result fingerprints "
-                             "(the batching strict-equivalence check); "
-                             "with one service report, verify each "
+    parser.add_argument("--parity", metavar="REPORT",
+                        help="with a service report, verify each "
                              "shard's service fingerprint against its "
-                             "recorded independent reference; with one "
+                             "recorded independent reference; with a "
                              "detection report, verify the weak+strong "
                              "and adaptive decision fingerprints against "
                              "confirm-read")
@@ -651,19 +599,13 @@ def main(argv: list[str] | None = None) -> int:
         return self_test()
 
     if args.parity:
-        if len(args.parity) > 2:
-            parser.error("--parity takes one service or detection "
-                         "report, or two throughput reports")
         try:
-            if len(args.parity) == 1:
-                report = load_file(args.parity[0])
-                if isinstance(report, dict) \
-                        and report.get("bench") == "detection":
-                    check_detection_parity(args.parity[0])
-                else:
-                    check_service_parity(args.parity[0])
+            report = load_file(args.parity)
+            if isinstance(report, dict) \
+                    and report.get("bench") == "detection":
+                check_detection_parity(args.parity)
             else:
-                check_parity(args.parity[0], args.parity[1])
+                check_service_parity(args.parity)
         except SchemaError as error:
             print(error, file=sys.stderr)
             return 1

@@ -146,7 +146,6 @@ RULES = [
 KNOWN_KNOBS = frozenset({
     "DEWRITE_AUDIT",         # run-end + epoch metadata audits
     "DEWRITE_AUDIT_EPOCH",   # audit cadence in events
-    "DEWRITE_BATCH",         # write-batch capacity (1..kMaxWriteBatch)
     "DEWRITE_DETECT",        # detection policy (confirm-read/weak-only/
                              # weak-strong/adaptive)
     "DEWRITE_DETECT_EPOCH",  # adaptive-detection epoch in commits
