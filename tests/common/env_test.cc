@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "dedup/dedup_engine.hh"
 
@@ -106,6 +108,22 @@ TEST(EnvUintDeathTest, RejectsMalformedAndOutOfRange)
         EXPECT_EXIT(envUint(kVar, 0, 1, 10),
                     ::testing::ExitedWithCode(1), kVar)
             << "value: \"" << bad << '"';
+    }
+}
+
+// Bench provenance records every known knob in this order, and the
+// lint cross-checks the list against its own copy; both rely on it
+// being sorted, duplicate-free and DEWRITE_-prefixed.
+TEST(KnownKnobsTest, SortedUniqueAndPrefixed)
+{
+    const std::vector<const char *> &knobs = knownKnobs();
+    ASSERT_FALSE(knobs.empty());
+    for (std::size_t i = 0; i < knobs.size(); ++i) {
+        EXPECT_EQ(std::string(knobs[i]).rfind("DEWRITE_", 0), 0u)
+            << knobs[i];
+        if (i > 0) {
+            EXPECT_LT(std::string(knobs[i - 1]), std::string(knobs[i]));
+        }
     }
 }
 
