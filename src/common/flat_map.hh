@@ -281,7 +281,7 @@ class FlatMap
 
     /**
      * Huge-page-backed once the table crosses ~1 MiB: large FlatMaps
-     * (hash store, spill tables) are probed at mixed indices, so TLB
+     * (the hash-store index) are probed at mixed indices, so TLB
      * reach dominates their host cost. Small tables use the plain heap.
      */
     using SlotVec = std::vector<Slot, HugeAwareAllocator<Slot>>;

@@ -13,7 +13,10 @@
  * hugeAlloc() rounds the request up to a multiple of 2 MiB and returns
  * 2 MiB-aligned memory (uninitialized); below kHugeAllocMinBytes it
  * degrades to plain operator new since sub-huge-page allocations gain
- * nothing. madvise() is best-effort and compiled only on Linux.
+ * nothing. On Linux the blocks are mapped with mmap and hugeFree()
+ * unmaps them, so a torn-down System returns its stores to the OS
+ * instead of leaving them resident in the malloc heap. madvise() is
+ * best-effort and compiled only on Linux.
  */
 
 #ifndef DEWRITE_COMMON_HUGE_PAGES_HH
@@ -75,6 +78,13 @@ hugeAllocEligible(std::size_t bytes)
     return bytes >= kHugeAllocMinBytes;
 }
 
+/** @p bytes rounded up to whole huge pages. */
+constexpr std::size_t
+hugeRoundUp(std::size_t bytes)
+{
+    return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+}
+
 /**
  * Uninitialized storage for @p bytes. Eligible sizes come back 2 MiB
  * aligned, rounded up to whole huge pages, and advised MADV_HUGEPAGE.
@@ -86,11 +96,30 @@ hugeAlloc(std::size_t bytes)
         // dewrite-analyze: allow(hot-path-purity) demand allocation of one storage page;
         // amortized over kPageEntries lines, then touched never
         return ::operator new(bytes);
-    const std::size_t rounded =
-        (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+    const std::size_t rounded = hugeRoundUp(bytes);
+#if defined(__linux__)
+    // Over-map by one huge page, then unmap the misaligned head and the
+    // spare tail so the block starts on a 2 MiB boundary.
+    void *raw = mmap(nullptr, rounded + kHugePageBytes,
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+    if (raw == MAP_FAILED)
+        throw std::bad_alloc();
+    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t aligned =
+        (base + kHugePageBytes - 1) & ~std::uintptr_t{ kHugePageBytes - 1 };
+    const std::size_t head = aligned - base;
+    if (head != 0)
+        munmap(raw, head);
+    if (head != kHugePageBytes)
+        munmap(reinterpret_cast<void *>(aligned + rounded),
+               kHugePageBytes - head);
+    void *mem = reinterpret_cast<void *>(aligned);
+#else
     void *mem = std::aligned_alloc(kHugePageBytes, rounded);
     if (!mem)
         throw std::bad_alloc();
+#endif
     // Best-effort: a kernel without THP simply ignores the hint, and
     // a failed advise leaves the region valid on base pages.
     bool advised = true;
@@ -110,10 +139,15 @@ hugeAlloc(std::size_t bytes)
 inline void
 hugeFree(void *mem, std::size_t bytes)
 {
-    if (!hugeAllocEligible(bytes))
+    if (!hugeAllocEligible(bytes)) {
         ::operator delete(mem);
-    else
-        std::free(mem);
+        return;
+    }
+#if defined(__linux__)
+    munmap(mem, hugeRoundUp(bytes));
+#else
+    std::free(mem);
+#endif
 }
 
 /** Deleter for objects placement-constructed in hugeAlloc() storage. */

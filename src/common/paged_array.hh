@@ -216,6 +216,75 @@ class DenseAddrSet
     std::size_t size_ = 0;
 };
 
+/**
+ * A sparse map from line addresses to T over PagedArray storage: for
+ * per-line state that only some lines carry, find/operator[]/erase are
+ * direct loads that never rehash, and iteration is address-ascending.
+ */
+template <typename T>
+class DenseAddrMap
+{
+  public:
+    // dewrite-analyze: allow(hot-path-purity) construction-time pre-sizing;
+    // the hot edge is a member-name over-approximation
+    void reserve(std::uint64_t capacity) { entries_.reserve(capacity); }
+
+    const T *
+    find(std::uint64_t index) const
+    {
+        const Entry *entry = entries_.find(index);
+        return entry && entry->present ? &entry->value : nullptr;
+    }
+
+    /** The value at @p index, inserting T{} if absent. */
+    T &
+    operator[](std::uint64_t index)
+    {
+        Entry &entry = entries_.ref(index);
+        if (!entry.present) {
+            entry = { T{}, true };
+            ++size_;
+        }
+        return entry.value;
+    }
+
+    /** @return true iff @p index was present. */
+    bool
+    erase(std::uint64_t index)
+    {
+        Entry *entry = entries_.find(index);
+        if (!entry || !entry->present)
+            return false;
+        *entry = Entry{};
+        --size_;
+        return true;
+    }
+
+    std::size_t size() const { return size_; }
+
+    /** Visits (index, value) pairs in ascending index order. */
+    template <typename Visitor>
+    void
+    forEachSorted(Visitor &&visit) const
+    {
+        // dewrite-lint: allow(unsorted-iteration) index-ascending
+        entries_.forEach([&](std::uint64_t index, const Entry &entry) {
+            if (entry.present)
+                visit(index, entry.value);
+        });
+    }
+
+  private:
+    struct Entry
+    {
+        T value;
+        bool present;
+    };
+
+    PagedArray<Entry> entries_;
+    std::size_t size_ = 0;
+};
+
 } // namespace dewrite
 
 #endif // DEWRITE_COMMON_PAGED_ARRAY_HH

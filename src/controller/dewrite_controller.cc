@@ -201,8 +201,7 @@ DeWriteController::read(LineAddr addr, Time now)
 CtrlReadResult
 DeWriteController::readTiming(LineAddr addr, Time now)
 {
-    const ReadOutcome outcome =
-        engine_.read(addr, now, /*want_data=*/false);
+    const ReadTiming outcome = engine_.readTiming(addr, now);
     CtrlReadResult result;
     result.valid = outcome.valid;
     result.latency = outcome.done - now;

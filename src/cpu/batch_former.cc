@@ -24,10 +24,9 @@ BatchFormer::flush(MemController &controller, CtrlWriteResult *results,
 {
     if (size_ == 0)
         return 0;
-    std::array<CtrlWriteRequest, kMaxWriteBatch> requests;
     for (std::size_t i = 0; i < size_; ++i)
-        requests[i] = { slots_[i].addr, &slots_[i].data, slots_[i].now };
-    controller.writeBatch(requests.data(), results, size_);
+        requests_[i] = { slots_[i].addr, &slots_[i].data, slots_[i].now };
+    controller.writeBatch(requests_.data(), results, size_);
 
     switch (reason) {
       case FlushReason::Read:

@@ -120,6 +120,8 @@ class BatchFormer
     };
 
     std::array<Slot, kMaxWriteBatch> slots_;
+    /** The hand-off array; a flush fills only its first size_ entries. */
+    std::array<CtrlWriteRequest, kMaxWriteBatch> requests_;
     std::size_t size_ = 0;
 
     Counter flushRead_;

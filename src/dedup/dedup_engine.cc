@@ -69,12 +69,12 @@ DedupEngine::DedupEngine(const SystemConfig &config, NvmDevice &device,
     // Size every hot-path structure up front from the config hints so
     // nothing rehashes or grows a directory mid-run (DESIGN.md §5).
     const std::uint64_t hint = config.memory.workingSetHint();
-    hashStore_.reserve(hint);
+    hashStore_.reserve(hint, config.memory.numLines);
     mapping_.reserve(config.memory.numLines);
     invHash_.reserve(config.memory.numLines);
     written_.reserve(config.memory.numLines);
-    overflow_.reserve(64);
-    majors_.reserve(64);
+    overflow_.reserve(config.memory.numLines);
+    majors_.reserve(config.memory.numLines);
 }
 
 DedupEngine::DedupEngine(const SystemConfig &config, NvmDevice &device,
@@ -368,10 +368,8 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill)
         // The functional scan below only *counts* the duplicates this
         // shortcut misses (the ~1.5% of Figure 12's gap); it charges
         // nothing.
-        const ChainView chain = hashStore_.lookup(out.hash);
         unsigned scanned = 0;
-        for (std::size_t i = chain.size(); i-- > 0;) {
-            const HashEntry &entry = chain[i];
+        for (const HashEntry entry : hashStore_.lookup(out.hash)) {
             if (++scanned > options_.maxChainProbe)
                 break;
             if (entry.reference == HashStore::kMaxReference)
@@ -419,21 +417,19 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill)
     // pinned at the reference cap, its freshest record is the one with
     // spare references.
     obs::StageTimer confirm_timer(stageSink(stageCycles_.confirmRead));
-    const ChainView chain = hashStore_.lookup(out.hash);
     unsigned probes = 0;
-    for (std::size_t i = chain.size(); i-- > 0;) {
-        const HashEntry &entry = chain[i];
+    for (const HashEntry entry : hashStore_.lookup(out.hash)) {
         if (++probes > options_.maxChainProbe)
             break;
 
-        if (mode == DetectPolicy::WeakStrong && entry.strongValid &&
+        if (mode == DetectPolicy::WeakStrong && entry.strongFp &&
             entry.reference != HashStore::kMaxReference) {
             // Strong tier: one 128-bit compare replaces the candidate's
             // confirmation read. Unequal fingerprints *prove* the
             // contents differ; equal ones are trusted the way hardware
             // would trust them — the kernel's collision rate is
             // negligible, including against CRC-forged inputs.
-            const bool fp_equal = incomingStrongFp() == entry.strongFp;
+            const bool fp_equal = incomingStrongFp() == *entry.strongFp;
             t += config_.timing.lineCompare;
             energy_ += config_.energy.compareLine;
             confirmReadsAvoided_.increment();
@@ -727,14 +723,25 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
 }
 
 ReadOutcome
-DedupEngine::read(LineAddr init_addr, Time now, bool want_data)
+DedupEngine::read(LineAddr init_addr, Time now)
 {
     ReadOutcome out;
+    LineAddr slot = kInvalidAddr;
+    static_cast<ReadTiming &>(out) = timedRead(init_addr, now, slot);
+    // An unwritten slot reads as zero, whose decryption is the pad.
+    if (out.valid)
+        out.data = decryptStored(slot);
+    return out;
+}
+
+ReadTiming
+DedupEngine::timedRead(LineAddr init_addr, Time now, LineAddr &slot)
+{
+    ReadTiming out;
     Time t = now +
              metadata_.access(MetadataTable::Mapping, init_addr, false, now)
                  .latency;
 
-    LineAddr slot;
     Time counter_latency = 0;
     if (mapping_.isRemapped(init_addr)) {
         out.remapped = true;
@@ -762,13 +769,6 @@ DedupEngine::read(LineAddr init_addr, Time now, bool want_data)
         t + counter_latency + config_.timing.aesLine;
     energy_ += config_.energy.aesLine();
 
-    if (want_data) {
-        // Decrypt straight from the stored line (an unwritten slot
-        // reads as zero, whose decryption is the pad itself).
-        const Line *ciphertext = device_.peekPtr(slot);
-        const Line &pad = padFor(slot, effectiveCounter(slot));
-        out.data = ciphertext ? (*ciphertext ^ pad) : pad;
-    }
     out.valid = true;
     out.done = std::max(access.complete, otp_ready) +
                config_.timing.otpXor;

@@ -103,13 +103,18 @@ struct WriteCommit
     Time done = 0;                //!< Absolute completion time.
 };
 
-/** Result of a read. */
-struct ReadOutcome
+/** Timing side of a read: all a timing-only caller consumes. */
+struct ReadTiming
 {
-    Line data;
     bool valid = false;    //!< Line had ever been written.
     bool remapped = false; //!< Served through an address mapping.
     Time done = 0;
+};
+
+/** Result of a read: its timing plus the decrypted line. */
+struct ReadOutcome : ReadTiming
+{
+    Line data;
 };
 
 class DedupEngine
@@ -214,13 +219,18 @@ class DedupEngine
                              Time encrypt_ready);
 
     /** Reads logical line @p init_addr through the mapping (Figure 11). */
+    ReadOutcome read(LineAddr init_addr, Time now);
+
     /**
-     * Reads logical line @p init_addr. With @p want_data false only
-     * the timing/energy/stat effects are produced (identically) and
-     * the outcome's data stays zero — the host-side decrypt (pad
-     * lookup plus line XOR) is skipped for callers that discard it.
+     * read() for callers that discard the data: the same timing,
+     * energy and stat effects, with no line materialized — the
+     * host-side decrypt (pad lookup plus line XOR) is skipped.
      */
-    ReadOutcome read(LineAddr init_addr, Time now, bool want_data = true);
+    ReadTiming readTiming(LineAddr init_addr, Time now)
+    {
+        LineAddr slot = kInvalidAddr;
+        return timedRead(init_addr, now, slot);
+    }
 
     /** @{ Structure access for tests and benches. */
     const HashStore &hashStore() const { return hashStore_; }
@@ -344,6 +354,12 @@ class DedupEngine
      */
     Time releaseOld(LineAddr init_addr, Time now);
 
+    /**
+     * The simulated side of a read; @p slot receives the slot that
+     * served it (meaningful only when the result is valid).
+     */
+    ReadTiming timedRead(LineAddr init_addr, Time now, LineAddr &slot);
+
     /** True iff logical @p init_addr currently references @p slot. */
     bool references(LineAddr init_addr, LineAddr slot) const;
 
@@ -402,14 +418,14 @@ class DedupEngine
     FreeSpaceTable fsm_;
 
     /** Counters homeless in both tables (rare corner; see DESIGN.md). */
-    FlatMap<LineAddr, std::uint64_t> overflow_;
+    DenseAddrMap<std::uint64_t> overflow_;
 
     /**
      * Per-line major counters (split-counter overflow handling). Only
      * lines whose minor counter has wrapped appear here; real designs
      * hold the shared major alongside the page's counters.
      */
-    FlatMap<LineAddr, std::uint64_t> majors_;
+    DenseAddrMap<std::uint64_t> majors_;
 
     /** Logical lines ever written (functional validity only). */
     DenseAddrSet written_;

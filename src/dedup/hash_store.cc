@@ -5,182 +5,88 @@
 
 #include "dedup/hash_store.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace dewrite {
 
-ChainView
+HashStore::ChainView
 HashStore::lookup(std::uint64_t hash) const
 {
-    const Chain *chain = chains_.find(hash);
-    if (!chain)
-        return ChainView();
-    const std::size_t head =
-        std::min<std::size_t>(chain->count, Chain::kInline);
-    if (chain->count <= Chain::kInline)
-        return ChainView(chain->inlineEntries, head, nullptr, 0);
-    const std::vector<HashEntry> &spill = spills_[chain->spillSlot];
-    return ChainView(chain->inlineEntries, head, spill.data(),
-                     spill.size());
+    const std::uint32_t *newest = newest_.find(hash);
+    return { this, newest ? *newest : kNil };
 }
 
-HashStore::Locator
-HashStore::locate(std::uint64_t hash, LineAddr real_addr) const
+const HashStore::Record *
+HashStore::live(std::uint64_t hash, LineAddr real_addr) const
 {
-    Locator loc{ chains_.findIndex(hash), kNpos };
-    if (loc.chainIdx == kNpos)
-        return loc;
-    const Chain &chain = chains_.valueAt(loc.chainIdx);
-    const std::size_t head =
-        std::min<std::size_t>(chain.count, Chain::kInline);
-    for (std::size_t i = 0; i < head; ++i) {
-        if (chain.inlineEntries[i].realAddr == real_addr) {
-            loc.entryIdx = i;
-            return loc;
-        }
-    }
-    if (chain.count > Chain::kInline) {
-        const std::vector<HashEntry> &spill = spills_[chain.spillSlot];
-        for (std::size_t i = 0; i < spill.size(); ++i) {
-            if (spill[i].realAddr == real_addr) {
-                loc.entryIdx = Chain::kInline + i;
-                return loc;
-            }
-        }
-    }
-    return loc;
-}
-
-HashEntry &
-HashStore::entryAt(Chain &chain, std::size_t i)
-{
-    if (i < Chain::kInline)
-        return chain.inlineEntries[i];
-    return spills_[chain.spillSlot][i - Chain::kInline];
+    const Record *rec = records_.find(real_addr);
+    return rec && rec->reference != 0 && rec->hash == hash ? rec : nullptr;
 }
 
 void
-HashStore::appendEntry(Chain &chain, HashEntry entry)
+HashStore::append(std::uint64_t hash, LineAddr real_addr,
+                  std::uint8_t reference, const char *op)
 {
-    if (chain.count < Chain::kInline) {
-        chain.inlineEntries[chain.count] = entry;
-    } else {
-        if (chain.count == Chain::kInline) {
-            // Third entry for this hash: take a spill vector from the
-            // pool (or grow it) rather than allocating per chain.
-            if (freeSpills_.empty()) {
-                chain.spillSlot =
-                    static_cast<std::uint32_t>(spills_.size());
-                // dewrite-analyze: allow(hot-path-purity) spill-pool growth, only when a hash chain
-                // exceeds its two inline slots (rare)
-                spills_.emplace_back();
-            } else {
-                chain.spillSlot = freeSpills_.back();
-                freeSpills_.pop_back();
-            }
-        }
-        // dewrite-analyze: allow(hot-path-purity) spill-vector append, rare (chains > 2 entries)
-        spills_[chain.spillSlot].push_back(entry);
-    }
-    ++chain.count;
-}
-
-void
-HashStore::removeEntry(Chain &chain, std::size_t i)
-{
-    std::vector<HashEntry> *spill =
-        chain.count > Chain::kInline ? &spills_[chain.spillSlot] : nullptr;
-    if (i < Chain::kInline) {
-        // Shift the inline tail down, then pull the oldest spilled
-        // entry in behind it, keeping append order intact.
-        for (std::size_t j = i + 1;
-             j < std::min<std::size_t>(chain.count, Chain::kInline); ++j)
-            chain.inlineEntries[j - 1] = chain.inlineEntries[j];
-        if (spill) {
-            chain.inlineEntries[Chain::kInline - 1] = spill->front();
-            spill->erase(spill->begin());
-        }
-    } else {
-        spill->erase(spill->begin() +
-                     static_cast<std::ptrdiff_t>(i - Chain::kInline));
-    }
-    if (spill && spill->empty()) {
-        // dewrite-analyze: allow(hot-path-purity) spill-slot recycling, rare (chain shrank below 3)
-        freeSpills_.push_back(chain.spillSlot);
-        chain.spillSlot = 0;
-    }
-    --chain.count;
-}
-
-void
-HashStore::insert(std::uint64_t hash, LineAddr real_addr)
-{
-    auto [chain, inserted] = chains_.tryEmplace(hash);
-    if (!inserted) {
-        const std::size_t head =
-            std::min<std::size_t>(chain->count, Chain::kInline);
-        for (std::size_t i = 0; i < head; ++i) {
-            if (chain->inlineEntries[i].realAddr == real_addr)
-                panic("hash store: duplicate insert of slot %llu",
-                      static_cast<unsigned long long>(real_addr));
-        }
-        if (chain->count > Chain::kInline) {
-            for (const HashEntry &entry : spills_[chain->spillSlot]) {
-                if (entry.realAddr == real_addr)
-                    panic("hash store: duplicate insert of slot %llu",
-                          static_cast<unsigned long long>(real_addr));
-            }
-        }
-    }
-    appendEntry(*chain, { real_addr, 1 });
+    if (real_addr >= kNil)
+        panic("hash store: slot %llu is beyond the record range",
+              static_cast<unsigned long long>(real_addr));
+    if (reference == 0)
+        panic("hash store: %s of slot %llu with no references", op,
+              static_cast<unsigned long long>(real_addr));
+    Record &rec = records_.ref(real_addr);
+    if (rec.reference != 0)
+        panic("hash store: duplicate %s of slot %llu", op,
+              static_cast<unsigned long long>(real_addr));
+    std::uint32_t &newest = *newest_.tryEmplace(hash, kNil).first;
+    rec = { hash, newest, reference, false };
+    newest = static_cast<std::uint32_t>(real_addr);
     ++size_;
 }
 
 bool
 HashStore::addReference(std::uint64_t hash, LineAddr real_addr)
 {
-    const Locator loc = locate(hash, real_addr);
-    if (loc.chainIdx == kNpos)
-        panic("hash store: addReference on absent hash 0x%llx",
-              static_cast<unsigned long long>(hash));
-    if (loc.entryIdx == kNpos)
-        panic("hash store: addReference on absent slot %llu",
+    Record *rec = live(hash, real_addr);
+    if (!rec)
+        panic("hash store: addReference on absent record (hash 0x%llx, "
+              "slot %llu)",
+              static_cast<unsigned long long>(hash),
               static_cast<unsigned long long>(real_addr));
-    HashEntry &entry =
-        entryAt(chains_.valueAt(loc.chainIdx), loc.entryIdx);
-    if (entry.reference == kMaxReference) {
+    if (rec->reference == kMaxReference) {
         saturationRefusals_.increment();
         return false;
     }
-    ++entry.reference;
+    ++rec->reference;
     return true;
 }
 
 bool
 HashStore::dropReference(std::uint64_t hash, LineAddr real_addr)
 {
-    const Locator loc = locate(hash, real_addr);
-    if (loc.chainIdx == kNpos)
-        panic("hash store: dropReference on absent hash 0x%llx",
-              static_cast<unsigned long long>(hash));
-    if (loc.entryIdx == kNpos)
-        panic("hash store: dropReference on absent slot %llu",
+    Record *rec = live(hash, real_addr);
+    if (!rec)
+        panic("hash store: dropReference on absent record (hash 0x%llx, "
+              "slot %llu)",
+              static_cast<unsigned long long>(hash),
               static_cast<unsigned long long>(real_addr));
-    Chain &chain = chains_.valueAt(loc.chainIdx);
-    HashEntry &entry = entryAt(chain, loc.entryIdx);
     // A saturated count no longer tracks the true reference number,
     // so it is pinned: the record outlives its references rather
     // than risking premature reclamation.
-    if (entry.reference == kMaxReference)
+    if (rec->reference == kMaxReference)
         return false;
-    if (--entry.reference > 0)
+    if (--rec->reference > 0)
         return false;
-    removeEntry(chain, loc.entryIdx);
+
+    // Unlink the slot; its older neighbours keep their order.
+    const std::size_t idx = newest_.findIndex(hash);
+    std::uint32_t *link = &newest_.valueAt(idx);
+    while (*link != real_addr)
+        link = &records_.find(*link)->older;
+    *link = rec->older;
+    if (newest_.valueAt(idx) == kNil)
+        newest_.eraseIndex(idx);
+    *rec = Record{};
     --size_;
-    if (chain.count == 0)
-        chains_.eraseIndex(loc.chainIdx);
     return true;
 }
 
@@ -188,68 +94,14 @@ void
 HashStore::setStrongFp(std::uint64_t hash, LineAddr real_addr,
                        const StrongFp &fp)
 {
-    const Locator loc = locate(hash, real_addr);
-    if (loc.entryIdx == kNpos)
+    Record *rec = live(hash, real_addr);
+    if (!rec)
         panic("hash store: setStrongFp on absent record (hash 0x%llx, "
               "slot %llu)",
               static_cast<unsigned long long>(hash),
               static_cast<unsigned long long>(real_addr));
-    HashEntry &entry =
-        entryAt(chains_.valueAt(loc.chainIdx), loc.entryIdx);
-    entry.strongFp = fp;
-    entry.strongValid = true;
-}
-
-const StrongFp *
-HashStore::strongFpOf(std::uint64_t hash, LineAddr real_addr) const
-{
-    const Locator loc = locate(hash, real_addr);
-    if (loc.entryIdx == kNpos)
-        return nullptr;
-    const HashEntry &entry =
-        const_cast<HashStore *>(this)->entryAt(
-            const_cast<Chain &>(chains_.valueAt(loc.chainIdx)),
-            loc.entryIdx);
-    return entry.strongValid ? &entry.strongFp : nullptr;
-}
-
-std::uint8_t
-HashStore::reference(std::uint64_t hash, LineAddr real_addr) const
-{
-    const Locator loc = locate(hash, real_addr);
-    if (loc.entryIdx == kNpos)
-        return 0;
-    return const_cast<HashStore *>(this)
-        ->entryAt(const_cast<Chain &>(chains_.valueAt(loc.chainIdx)),
-                  loc.entryIdx)
-        .reference;
-}
-
-void
-HashStore::restore(std::uint64_t hash, LineAddr real_addr,
-                   std::uint64_t references)
-{
-    const std::uint8_t clamped = static_cast<std::uint8_t>(
-        std::min<std::uint64_t>(references, kMaxReference));
-    auto [chain, inserted] = chains_.tryEmplace(hash);
-    if (!inserted) {
-        const std::size_t head =
-            std::min<std::size_t>(chain->count, Chain::kInline);
-        for (std::size_t i = 0; i < head; ++i) {
-            if (chain->inlineEntries[i].realAddr == real_addr)
-                panic("hash store: duplicate restore of slot %llu",
-                      static_cast<unsigned long long>(real_addr));
-        }
-        if (chain->count > Chain::kInline) {
-            for (const HashEntry &entry : spills_[chain->spillSlot]) {
-                if (entry.realAddr == real_addr)
-                    panic("hash store: duplicate restore of slot %llu",
-                          static_cast<unsigned long long>(real_addr));
-            }
-        }
-    }
-    appendEntry(*chain, { real_addr, clamped });
-    ++size_;
+    strongFps_.ref(real_addr) = fp;
+    rec->strongValid = true;
 }
 
 std::size_t
@@ -257,9 +109,10 @@ HashStore::collidingEntries() const
 {
     std::size_t colliding = 0;
     // dewrite-lint: allow(unsorted-iteration) commutative sum
-    chains_.forEach([&](std::uint64_t, const Chain &chain) {
-        if (chain.count > 1)
-            colliding += chain.count;
+    newest_.forEach([&](std::uint64_t, std::uint32_t newest) {
+        const std::size_t length = ChainView(this, newest).size();
+        if (length > 1)
+            colliding += length;
     });
     return colliding;
 }
@@ -269,22 +122,10 @@ HashStore::maxChainLength() const
 {
     std::size_t longest = 0;
     // dewrite-lint: allow(unsorted-iteration) commutative max
-    chains_.forEach([&](std::uint64_t, const Chain &chain) {
-        longest = std::max<std::size_t>(longest, chain.count);
+    newest_.forEach([&](std::uint64_t, std::uint32_t newest) {
+        longest = std::max(longest, ChainView(this, newest).size());
     });
     return longest;
-}
-
-std::size_t
-HashStore::spilledChains() const
-{
-    std::size_t spilled = 0;
-    // dewrite-lint: allow(unsorted-iteration) commutative count
-    chains_.forEach([&](std::uint64_t, const Chain &chain) {
-        if (chain.count > Chain::kInline)
-            ++spilled;
-    });
-    return spilled;
 }
 
 } // namespace dewrite

@@ -11,22 +11,28 @@
  * duplicates of it are written normally rather than deduplicated, which
  * bounds the field width at the cost of a few missed eliminations.
  *
- * Storage is a FlatMap from hash to a small-buffer chain: the one- and
- * two-entry chains that dominate in practice (CRC collisions are rare,
- * Figure 6) live inline in the map slot, and only a genuinely colliding
- * hash spills to a pooled vector. Chain order is append order and erase
- * preserves it, so the engine's newest-first probe sees exactly the
- * sequence the old vector-per-hash layout produced. Every mutation
- * probes the table once.
+ * Storage is split the way NV-Dedup splits its weak-hash table: a
+ * compact 16 B-slot FlatMap from hash to the newest slot of its chain,
+ * beside per-slot records (hash, reference, link to the next older
+ * slot of the chain) in a PagedArray indexed by real address. A slot
+ * holds one content, so it sits in at most one chain; its record is
+ * found by address alone, and only insert, removal and lookup probe
+ * the hash index. Record pages are touched lazily, so an empty store
+ * costs the index alone. Strong fingerprints live in a side table that
+ * only the weak+strong policies ever touch.
+ *
+ * Chain order is append order and removal preserves it; lookup walks
+ * it newest-first, exactly the order of the engine's capped probe.
  */
 
 #ifndef DEWRITE_DEDUP_HASH_STORE_HH
 #define DEWRITE_DEDUP_HASH_STORE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "common/flat_map.hh"
+#include "common/paged_array.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "crypto/strong_fingerprint.hh"
@@ -34,65 +40,110 @@
 namespace dewrite {
 
 /**
- * One <hash, realAddr, reference> record, plus the lazily cached
- * strong fingerprint of the slot's content (DESIGN.md §5j): invalid
- * on insert, filled by the engine on the first weak-match
- * confirmation, and implicitly invalidated on rewrite because a
+ * One <hash, realAddr, reference> record as the store hands it out,
+ * plus the lazily cached strong fingerprint of the slot's content
+ * (DESIGN.md §5j): null on insert, filled by the engine on the first
+ * weak-match confirmation, and invalidated on rewrite because a
  * rewritten slot's record is always dropped and re-inserted.
  */
 struct HashEntry
 {
     LineAddr realAddr;
     std::uint8_t reference;
-    bool strongValid = false; //!< strongFp caches the slot's content fp.
-    StrongFp strongFp{};      //!< Meaningful only while strongValid.
-};
-
-/**
- * Read-only view of one hash's collision chain, in append order
- * (index 0 oldest). Valid until the next HashStore mutation.
- */
-class ChainView
-{
-  public:
-    ChainView() = default;
-    ChainView(const HashEntry *head, std::size_t head_count,
-              const HashEntry *spill, std::size_t spill_count)
-        : head_(head), headCount_(head_count), spill_(spill),
-          spillCount_(spill_count)
-    {
-    }
-
-    std::size_t size() const { return headCount_ + spillCount_; }
-    bool empty() const { return size() == 0; }
-
-    const HashEntry &
-    operator[](std::size_t i) const
-    {
-        return i < headCount_ ? head_[i] : spill_[i - headCount_];
-    }
-
-  private:
-    const HashEntry *head_ = nullptr;
-    std::size_t headCount_ = 0;
-    const HashEntry *spill_ = nullptr;
-    std::size_t spillCount_ = 0;
+    const StrongFp *strongFp; //!< Null until a fingerprint is cached.
 };
 
 class HashStore
 {
+    /** Per-slot record; all-zero is "no record". */
+    struct Record
+    {
+        std::uint64_t hash;
+        std::uint32_t older; //!< Next older slot of the chain, or kNil.
+        std::uint8_t reference;
+        bool strongValid;
+    };
+
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
   public:
     /** Saturation limit of the 8-bit reference field. */
     static constexpr std::uint8_t kMaxReference = 255;
 
     /**
-     * Returns the chain of slots fingerprinted by @p hash (possibly
-     * empty; more than one entry means a CRC collision is live).
+     * One hash's collision chain, walked newest-first. Valid until the
+     * next insert, removal or restore; reference changes and
+     * setStrongFp are seen by a walk in progress.
+     */
+    class ChainView
+    {
+      public:
+        class Iterator
+        {
+          public:
+            HashEntry operator*() const { return store_->entryAt(slot_); }
+
+            Iterator &
+            operator++()
+            {
+                slot_ = store_->records_.find(slot_)->older;
+                return *this;
+            }
+
+            bool
+            operator!=(const Iterator &other) const
+            {
+                return slot_ != other.slot_;
+            }
+
+          private:
+            friend class ChainView;
+            Iterator(const HashStore *store, std::uint32_t slot)
+                : store_(store), slot_(slot)
+            {
+            }
+
+            const HashStore *store_;
+            std::uint32_t slot_;
+        };
+
+        Iterator begin() const { return { store_, newest_ }; }
+        Iterator end() const { return { store_, kNil }; }
+        bool empty() const { return newest_ == kNil; }
+
+        /** Chain length (walks the chain). */
+        std::size_t
+        size() const
+        {
+            std::size_t n = 0;
+            for (Iterator it = begin(); it != end(); ++it)
+                ++n;
+            return n;
+        }
+
+      private:
+        friend class HashStore;
+        ChainView(const HashStore *store, std::uint32_t newest)
+            : store_(store), newest_(newest)
+        {
+        }
+
+        const HashStore *store_;
+        std::uint32_t newest_;
+    };
+
+    /**
+     * The chain of slots fingerprinted by @p hash, newest first
+     * (possibly empty; more than one entry means a CRC collision is
+     * live).
      */
     ChainView lookup(std::uint64_t hash) const;
 
-    /** Inserts a new record with reference 1. The pair must be absent. */
-    void insert(std::uint64_t hash, LineAddr real_addr);
+    /** Inserts a new record with reference 1. The slot must be free. */
+    void insert(std::uint64_t hash, LineAddr real_addr)
+    {
+        append(hash, real_addr, 1, "insert");
+    }
 
     /**
      * Increments the reference of (@p hash, @p real_addr).
@@ -109,7 +160,12 @@ class HashStore
     bool dropReference(std::uint64_t hash, LineAddr real_addr);
 
     /** Current reference count, or 0 if the record is absent. */
-    std::uint8_t reference(std::uint64_t hash, LineAddr real_addr) const;
+    std::uint8_t
+    reference(std::uint64_t hash, LineAddr real_addr) const
+    {
+        const Record *rec = live(hash, real_addr);
+        return rec ? rec->reference : 0;
+    }
 
     /**
      * Caches @p fp as the strong fingerprint of (@p hash,
@@ -126,26 +182,48 @@ class HashStore
      * nullptr when the record is absent or its fingerprint has not
      * been computed yet.
      */
-    const StrongFp *strongFpOf(std::uint64_t hash,
-                               LineAddr real_addr) const;
+    const StrongFp *
+    strongFpOf(std::uint64_t hash, LineAddr real_addr) const
+    {
+        const Record *rec = live(hash, real_addr);
+        return rec && rec->strongValid ? strongFps_.find(real_addr)
+                                       : nullptr;
+    }
 
     /**
-     * Recovery-only: installs a record with an explicit reference
-     * count (clamped to the saturation cap). The pair must be absent.
+     * Recovery-only: installs a record with an explicit, nonzero
+     * reference count (clamped to the saturation cap). The slot must
+     * be free.
      */
-    void restore(std::uint64_t hash, LineAddr real_addr,
-                 std::uint64_t references);
+    void
+    restore(std::uint64_t hash, LineAddr real_addr,
+            std::uint64_t references)
+    {
+        append(hash, real_addr,
+               static_cast<std::uint8_t>(
+                   std::min<std::uint64_t>(references, kMaxReference)),
+               "restore");
+    }
 
-    /** Pre-sizes the table for @p expected records (no mid-run rehash). */
-    // dewrite-analyze: allow(hot-path-purity) construction-time pre-sizing;
-    // the hot edge is a member-name over-approximation
-    void reserve(std::size_t expected) { chains_.reserve(expected); }
+    /**
+     * Pre-sizes the hash index for @p expected records and the record
+     * directories for slots below @p slots (no mid-run rehash or
+     * directory growth). Construction-time pre-sizing: the analyzer's
+     * hot edges to it are a member-name over-approximation.
+     */
+    void
+    reserve(std::size_t expected, std::uint64_t slots)
+    {
+        newest_.reserve(expected); // dewrite-analyze: allow(hot-path-purity)
+        records_.reserve(slots); // dewrite-analyze: allow(hot-path-purity)
+        strongFps_.reserve(slots); // dewrite-analyze: allow(hot-path-purity)
+    }
 
     /** Number of live records. */
     std::size_t size() const { return size_; }
 
     /** Number of distinct hash values with at least one record. */
-    std::size_t distinctHashes() const { return chains_.size(); }
+    std::size_t distinctHashes() const { return newest_.size(); }
 
     /**
      * Live records whose hash is shared with another live record — the
@@ -156,9 +234,6 @@ class HashStore
     /** Longest live collision chain. */
     std::size_t maxChainLength() const;
 
-    /** Chains that outgrew the inline buffer (testing / inspection). */
-    std::size_t spilledChains() const;
-
     /** Cumulative saturation refusals (for the Figure 12 miss budget). */
     std::uint64_t saturationRefusals() const
     {
@@ -167,56 +242,59 @@ class HashStore
 
     /**
      * Visits every record in ascending hash order (entries of one hash
-     * in chain order), so consumers — refcount histograms, recovery
-     * audits — see a sequence independent of table layout.
+     * in append order, oldest first), so consumers — refcount
+     * histograms, recovery audits — see a sequence independent of table
+     * layout.
      */
     template <typename Visitor>
     void
     forEach(Visitor &&visit) const
     {
-        chains_.forEachSorted([&](std::uint64_t hash, const Chain &chain) {
-            const std::size_t head =
-                std::min<std::size_t>(chain.count, Chain::kInline);
-            for (std::size_t i = 0; i < head; ++i)
-                visit(hash, chain.inlineEntries[i]);
-            if (chain.count > Chain::kInline) {
-                for (const HashEntry &entry : spills_[chain.spillSlot])
-                    visit(hash, entry);
-            }
+        newest_.forEachSorted([&](std::uint64_t hash, std::uint32_t slot) {
+            visitOldestFirst(hash, slot, visit);
         });
     }
 
   private:
+    /** The record of @p real_addr if it is live under @p hash. */
+    const Record *live(std::uint64_t hash, LineAddr real_addr) const;
+    Record *
+    live(std::uint64_t hash, LineAddr real_addr)
+    {
+        return const_cast<Record *>(
+            static_cast<const HashStore *>(this)->live(hash, real_addr));
+    }
+
+    HashEntry
+    entryAt(std::uint32_t slot) const
+    {
+        const Record &rec = *records_.find(slot);
+        return { slot, rec.reference,
+                 rec.strongValid ? strongFps_.find(slot) : nullptr };
+    }
+
+    /** Links a new newest record into @p hash's chain. */
+    void append(std::uint64_t hash, LineAddr real_addr,
+                std::uint8_t reference, const char *op);
+
     /**
-     * One hash's records: up to kInline held inline, the rest in
-     * spills_[spillSlot]. Logical order is inlineEntries then spill.
+     * Chain recursion: the older tail first, then @p slot. The depth
+     * is the chain length, which only forged CRC-32 collisions grow.
      */
-    struct Chain
+    template <typename Visitor>
+    void
+    visitOldestFirst(std::uint64_t hash, std::uint32_t slot,
+                     Visitor &visit) const
     {
-        static constexpr std::size_t kInline = 2;
+        const std::uint32_t older = records_.find(slot)->older;
+        if (older != kNil)
+            visitOldestFirst(hash, older, visit);
+        visit(hash, entryAt(slot));
+    }
 
-        HashEntry inlineEntries[kInline];
-        std::uint32_t count = 0;
-        std::uint32_t spillSlot = 0; // Valid only while count > kInline.
-    };
-
-    static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-    /** Index of (hash-chain, entry) located by one table probe. */
-    struct Locator
-    {
-        std::size_t chainIdx; // FlatMap slot index, kNpos if hash absent.
-        std::size_t entryIdx; // Position in the chain, kNpos if absent.
-    };
-
-    Locator locate(std::uint64_t hash, LineAddr real_addr) const;
-    HashEntry &entryAt(Chain &chain, std::size_t i);
-    void appendEntry(Chain &chain, HashEntry entry);
-    void removeEntry(Chain &chain, std::size_t i);
-
-    FlatMap<std::uint64_t, Chain> chains_;
-    std::vector<std::vector<HashEntry>> spills_;
-    std::vector<std::uint32_t> freeSpills_;
+    FlatMap<std::uint64_t, std::uint32_t> newest_; //!< hash -> newest slot
+    PagedArray<Record> records_;                   //!< by real address
+    PagedArray<StrongFp> strongFps_; //!< by real address, weak+strong only
     std::size_t size_ = 0;
     Counter saturationRefusals_;
 };

@@ -180,8 +180,9 @@ MetadataAuditor::check() const
 
     // 3. Every hash-store record must describe a live data slot whose
     //    inverted-hash fingerprint matches (no stray/dangling record).
-    // HashStore::forEach delegates to FlatMap::forEachSorted, so the
-    // walk is hash-ascending and the first violation deterministic.
+    // HashStore::forEach walks its index through FlatMap::forEachSorted,
+    // so the walk is hash-ascending and the first violation
+    // deterministic.
     // dewrite-lint: allow(unsorted-iteration)
     store.forEach([&](std::uint64_t hash, const HashEntry &entry) {
         if (first)
@@ -207,22 +208,22 @@ MetadataAuditor::check() const
         //     the weak+strong tier trusts instead of reading the line.
         //     decryptStored only touches the host-side pad memo, so the
         //     const_cast is observationally pure.
-        if (entry.strongValid) {
+        if (entry.strongFp) {
             const StrongFp stored = strongFingerprint(
                 const_cast<DedupEngine &>(engine_).decryptStored(
                     entry.realAddr));
-            if (!(stored == entry.strongFp)) {
+            if (!(stored == *entry.strongFp)) {
                 AuditViolation v;
                 v.invariant = AuditInvariant::StrongFpMatchesStoredLine;
                 v.slot = entry.realAddr;
                 v.expected = stored.lo;
-                v.actual = entry.strongFp.lo;
+                v.actual = entry.strongFp->lo;
                 v.detail = formatDetail(
                     "slot %llu caches strong fingerprint "
                     "%016llx%016llx but its stored content "
                     "fingerprints %016llx%016llx",
-                    u(entry.realAddr), u(entry.strongFp.hi),
-                    u(entry.strongFp.lo), u(stored.hi), u(stored.lo));
+                    u(entry.realAddr), u(entry.strongFp->hi),
+                    u(entry.strongFp->lo), u(stored.hi), u(stored.lo));
                 report(std::move(v));
             }
         }

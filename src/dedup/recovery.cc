@@ -110,7 +110,8 @@ RecoveryManager::rebuild()
     // Start from empty derived structures and restore them from the
     // durable inverted-hash walk.
     engine_.hashStore_ = HashStore();
-    engine_.hashStore_.reserve(engine_.config_.memory.workingSetHint());
+    engine_.hashStore_.reserve(engine_.config_.memory.workingSetHint(),
+                               engine_.config_.memory.numLines);
     engine_.fsm_ = FreeSpaceTable(engine_.config_.memory.numLines);
 
     // Under the weak+strong policies the scan already streams every

@@ -13,11 +13,11 @@
  * with exclusive ownership, and the main thread fills the next round's
  * buffers while the pool works. Double buffering plus the core's
  * fixed store-queue ring mean the ingest buffers and the core loop
- * allocate nothing after the first round. The shard's controller can:
- * under DeWrite the dedup engine still grows its hash-store spill
- * pool and its counter-overflow map on rare occasions (59 heap
- * allocations over 176k events in one measured run); the secure
- * baseline allocates nothing.
+ * allocate nothing after the first round, and neither does the
+ * shard's controller: tests/cpu/steady_state_alloc_test.cc pins zero
+ * heap allocations for a warmed-up push-mode drain under the secure
+ * baseline and under DeWrite with confirm-read and weak-strong
+ * detection.
  *
  * Correctness is pinned, not assumed: an N-shard run must produce
  * per-shard ExperimentResult fingerprints identical to N independent

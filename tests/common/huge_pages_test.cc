@@ -6,6 +6,7 @@
 #include "common/huge_pages.hh"
 
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -38,6 +39,24 @@ TEST(HugePages, LargeAllocationsAreHugePageAligned)
     std::memset(mem, 0xcd, bytes);
     hugeFree(mem, bytes);
 }
+
+#if defined(__linux__)
+TEST(HugePages, FreedLargeBlocksLeaveTheAddressSpace)
+{
+    // Large blocks are mapped per allocation and unmapped on free, so
+    // a torn-down store cannot stay resident in the malloc heap.
+    // mincore() fails with ENOMEM on a range that is no longer mapped.
+    const std::size_t bytes = 3u << 20;
+    void *mem = hugeAlloc(bytes);
+    std::memset(mem, 0x5a, bytes);
+    unsigned char resident[(4u << 20) / 4096];
+    EXPECT_EQ(mincore(mem, hugeRoundUp(bytes), resident), 0);
+    hugeFree(mem, bytes);
+    errno = 0;
+    EXPECT_EQ(mincore(mem, hugeRoundUp(bytes), resident), -1);
+    EXPECT_EQ(errno, ENOMEM);
+}
+#endif
 
 TEST(HugePages, MakeHugeValueInitializes)
 {

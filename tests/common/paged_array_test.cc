@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/dense_line_store.hh"
@@ -111,6 +112,45 @@ TEST(DenseAddrSet, SortedIterationSkipsErased)
     set.forEachSorted([&](std::uint64_t addr) { seen.push_back(addr); });
     const std::vector<std::uint64_t> expect = { 2, 500, 9000 };
     EXPECT_EQ(seen, expect);
+}
+
+TEST(DenseAddrMap, FindInsertEraseCountsPresence)
+{
+    DenseAddrMap<std::uint64_t> map;
+    EXPECT_EQ(map.find(4), nullptr);
+    map[4] = 0; // A stored zero is still present.
+    ASSERT_NE(map.find(4), nullptr);
+    EXPECT_EQ(*map.find(4), 0u);
+    ++map[4];
+    EXPECT_EQ(*map.find(4), 1u);
+    EXPECT_EQ(map.size(), 1u);
+    EXPECT_TRUE(map.erase(4));
+    EXPECT_FALSE(map.erase(4));
+    EXPECT_EQ(map.find(4), nullptr);
+    EXPECT_EQ(map.size(), 0u);
+    // Re-inserting starts from a value-initialized entry.
+    EXPECT_EQ(map[4], 0u);
+}
+
+TEST(DenseAddrMap, SortedIterationIncludesOverflow)
+{
+    DenseAddrMap<std::uint64_t> map;
+    const std::uint64_t huge =
+        PagedArray<std::uint64_t>::kMaxDirectEntries + 5;
+    map[huge] = 1;
+    map[9000] = 2;
+    map[10] = 3;
+    map[77] = 4;
+    map.erase(77);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+    map.forEachSorted([&](std::uint64_t addr, std::uint64_t value) {
+        seen.emplace_back(addr, value);
+    });
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> expect = {
+        { 10, 3 }, { 9000, 2 }, { huge, 1 }
+    };
+    EXPECT_EQ(seen, expect);
+    EXPECT_EQ(map.size(), 3u);
 }
 
 Line

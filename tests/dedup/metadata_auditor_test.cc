@@ -40,7 +40,7 @@ class MetadataAuditorTestPeer
         return e.mapping_;
     }
     static FreeSpaceTable &fsm(DedupEngine &e) { return e.fsm_; }
-    static FlatMap<LineAddr, std::uint64_t> &overflow(DedupEngine &e)
+    static DenseAddrMap<std::uint64_t> &overflow(DedupEngine &e)
     {
         return e.overflow_;
     }
