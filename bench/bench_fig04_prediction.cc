@@ -87,6 +87,14 @@ main()
     json.key("apps");
     json.beginArray();
 
+    // Appended rather than `"k" + std::to_string(...)`, which trips a
+    // g++ 12 -Wrestrict false positive in Release builds.
+    const auto windowKey = [&](std::size_t w) {
+        std::string key = "k";
+        key += std::to_string(windows[w]);
+        return key;
+    };
+
     TablePrinter table({ "app", "k=1", "k=3", "k=5", "k=8" });
     double sums[4] = {};
     for (std::size_t a = 0; a < apps.size(); ++a) {
@@ -96,7 +104,7 @@ main()
         for (std::size_t w = 0; w < 4; ++w) {
             sums[w] += accs[a][w];
             row.push_back(TablePrinter::percent(accs[a][w]));
-            json.field("k" + std::to_string(windows[w]), accs[a][w]);
+            json.field(windowKey(w), accs[a][w]);
         }
         json.endObject();
         table.addRow(std::move(row));
@@ -112,7 +120,7 @@ main()
     json.key("mean_accuracy");
     json.beginObject();
     for (std::size_t w = 0; w < 4; ++w)
-        json.field("k" + std::to_string(windows[w]), sums[w] / n);
+        json.field(windowKey(w), sums[w] / n);
     json.endObject();
     json.key("profile");
     profile.writeJson(json);

@@ -22,6 +22,7 @@
 #ifndef DEWRITE_COMMON_HUGE_PAGES_HH
 #define DEWRITE_COMMON_HUGE_PAGES_HH
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -166,13 +167,59 @@ struct HugeDeleter
 template <typename T>
 using HugeUniquePtr = std::unique_ptr<T, HugeDeleter<T>>;
 
-/** Value-initialized T in huge-page-backed storage. */
+/**
+ * True when a value-initialized T is all-zero bytes: arithmetic types,
+ * std::arrays of such types, and classes that opt in by declaring
+ * `static constexpr bool kZeroBytesAreValueInit = true;`. An opted-in
+ * class must be trivially copyable and destructible, and every member
+ * of its T{} must be zero.
+ */
+template <typename T>
+inline constexpr bool zeroBytesAreValueInit = [] {
+    if constexpr (std::is_arithmetic_v<T>)
+        return true;
+    else if constexpr (requires { T::kZeroBytesAreValueInit; })
+        return T::kZeroBytesAreValueInit;
+    else
+        return false;
+}();
+
+template <typename T, std::size_t N>
+inline constexpr bool zeroBytesAreValueInit<std::array<T, N>> =
+    zeroBytesAreValueInit<T>;
+
+/** True iff hugeAlloc(@p bytes) returns kernel-zeroed mmap memory. */
+constexpr bool
+hugeAllocZeroes(std::size_t bytes)
+{
+#if defined(__linux__)
+    return hugeAllocEligible(bytes);
+#else
+    static_cast<void>(bytes);
+    return false; // aligned_alloc memory is uninitialized
+#endif
+}
+
+/**
+ * Value-initialized T in huge-page-backed storage. When the block
+ * comes fresh from mmap, the kernel has already zeroed it, so a T
+ * whose value-initialized state is all-zero bytes is not filled again:
+ * the pages are faulted in on first touch instead of all at once.
+ */
 template <typename T>
 HugeUniquePtr<T>
 makeHuge()
 {
-    // dewrite-analyze: allow(hot-path-purity) demand allocation of one storage page
-    return HugeUniquePtr<T>(new (hugeAlloc(sizeof(T))) T{});
+    void *mem = hugeAlloc(sizeof(T));
+    if constexpr (zeroBytesAreValueInit<T> && hugeAllocZeroes(sizeof(T))) {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "zero-byte storage is reused as T only for "
+                      "implicit-lifetime types");
+        return HugeUniquePtr<T>(std::launder(static_cast<T *>(mem)));
+    } else {
+        // dewrite-analyze: allow(hot-path-purity) demand allocation of one storage page
+        return HugeUniquePtr<T>(new (mem) T{});
+    }
 }
 
 /**

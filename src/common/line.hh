@@ -34,6 +34,9 @@ class Line
     /** Constructs an all-zero line. */
     Line() { bytes_.fill(0); }
 
+    /** Fresh zeroed huge pages already hold Line{} (huge_pages.hh). */
+    static constexpr bool kZeroBytesAreValueInit = true;
+
     /** Constructs a line from a raw 256 B buffer. */
     static Line
     fromBytes(const std::uint8_t *data)

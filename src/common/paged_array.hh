@@ -279,6 +279,9 @@ class DenseAddrMap
     {
         T value;
         bool present;
+
+        static constexpr bool kZeroBytesAreValueInit =
+            zeroBytesAreValueInit<T>;
     };
 
     PagedArray<Entry> entries_;

@@ -40,6 +40,9 @@ struct StrongFp
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
 
+    /** Fresh zeroed huge pages already hold StrongFp{}. */
+    static constexpr bool kZeroBytesAreValueInit = true;
+
     friend bool operator==(const StrongFp &, const StrongFp &) = default;
 };
 

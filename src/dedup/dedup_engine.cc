@@ -2,16 +2,17 @@
  * @file
  * DedupEngine implementation.
  *
- * Invariants maintained across operations:
- *  - invHash_[S] holds a hash  <=>  slot S stores live ciphertext
+ * Invariants maintained across operations (slots_[A] is line address
+ * A's SlotRecord):
+ *  - slots_[S] holds a hash  <=>  slot S stores live ciphertext
  *    <=>  the hash store has a record (hash(S), S)  <=>  FSM marks S used.
  *  - A logical line L with valid data references exactly one slot:
- *    mapping_[L].realAddr when remapped, else its own slot L.
+ *    slots_[L]'s realAddr when remapped, else its own slot L.
  *  - The hash-store reference count of slot S equals the number of
  *    logical lines referencing S (pinned once saturated at 255).
  *  - Slot S's encryption counter never decreases and is stored at its
- *    colocation home (mapping_[S] if null, else invHash_[S] if null,
- *    else the overflow store).
+ *    colocation home (the mapping entry if null, else the inverted-hash
+ *    entry if null, else the overflow store, flagged in slots_[S]).
  */
 
 #include "dedup/dedup_engine.hh"
@@ -70,9 +71,7 @@ DedupEngine::DedupEngine(const SystemConfig &config, NvmDevice &device,
     // nothing rehashes or grows a directory mid-run (DESIGN.md §5).
     const std::uint64_t hint = config.memory.workingSetHint();
     hashStore_.reserve(hint, config.memory.numLines);
-    mapping_.reserve(config.memory.numLines);
-    invHash_.reserve(config.memory.numLines);
-    written_.reserve(config.memory.numLines);
+    slots_.reserve(config.memory.numLines);
     overflow_.reserve(config.memory.numLines);
     majors_.reserve(config.memory.numLines);
 }
@@ -92,25 +91,45 @@ DedupEngine::hashIndex(std::uint64_t hash) const
 std::uint64_t
 DedupEngine::counterOf(LineAddr slot) const
 {
-    // Fused single-walk probes: the colocation-home checks and the
-    // counter read share one table lookup each instead of two.
-    std::uint64_t counter;
-    if (mapping_.counterIfNotRemapped(slot, counter))
-        return counter;
-    if (invHash_.counterIfNoData(slot, counter))
-        return counter;
+    const SlotRecord *rec = slots_.find(slot);
+    return rec ? counterIn(*rec, slot) : 0;
+}
+
+std::uint64_t
+DedupEngine::counterIn(const SlotRecord &rec, LineAddr slot) const
+{
+    // Both colocation homes and the spill flag sit in one record, so
+    // the overflow store is probed only for a counter that spilled.
+    if (const std::uint64_t *home = rec.counterHome())
+        return *home;
+    if (!rec.has(SlotRecord::kHasOverflow))
+        return 0;
     const std::uint64_t *spilled = overflow_.find(slot);
     return spilled ? *spilled : 0;
+}
+
+std::uint64_t
+DedupEngine::majorIn(const SlotRecord &rec, LineAddr slot) const
+{
+    if (!rec.has(SlotRecord::kHasMajor))
+        return 0;
+    const std::uint64_t *major = majors_.find(slot);
+    return major ? *major : 0;
 }
 
 void
 DedupEngine::setCounterOf(LineAddr slot, std::uint64_t counter)
 {
-    if (mapping_.trySetCounter(slot, counter) ||
-        invHash_.trySetCounter(slot, counter)) {
-        overflow_.erase(slot);
+    SlotRecord &rec = slots_.ref(slot);
+    if (std::uint64_t *home = rec.counterHome()) {
+        *home = counter;
+        if (rec.has(SlotRecord::kHasOverflow)) {
+            overflow_.erase(slot);
+            rec.clear(SlotRecord::kHasOverflow);
+        }
     } else {
         overflow_[slot] = counter;
+        rec.set(SlotRecord::kHasOverflow);
     }
 }
 
@@ -119,9 +138,9 @@ DedupEngine::counterHome(LineAddr slot) const
 {
     if (slot == kInvalidAddr)
         return obs::CounterHome::None;
-    if (!mapping_.isRemapped(slot))
+    if (!slots_.isRemapped(slot))
         return obs::CounterHome::Mapping;
-    if (!invHash_.holdsData(slot))
+    if (!slots_.holdsData(slot))
         return obs::CounterHome::InvertedHash;
     return obs::CounterHome::Overflow;
 }
@@ -200,59 +219,69 @@ DedupEngine::registerMetrics(obs::MetricRegistry::Scope scope) const
     if (stageProfile_) {
         // Registered only under DEWRITE_STAGE_PROFILE=1 so the default
         // registry snapshot stays byte-identical to an unprofiled run.
+        // The commit split is sampled (kCommitSplitPeriod), so its
+        // gauges are estimates scaled from the sampled commits.
+        constexpr auto kSplit = static_cast<double>(kCommitSplitPeriod);
+        static constexpr struct
+        {
+            const char *name;
+            std::uint64_t obs::StageCycles::*cycles;
+            double scale;
+            const char *help;
+        } kStages[] = {
+            { "digest_cycles", &obs::StageCycles::digest, 1,
+              "host cycles fingerprinting lines" },
+            { "probe_cycles", &obs::StageCycles::probe, 1,
+              "host cycles in metadata probes" },
+            { "pad_cycles", &obs::StageCycles::pad, 1,
+              "host cycles generating AES pads" },
+            { "confirm_read_cycles", &obs::StageCycles::confirmRead, 1,
+              "host cycles confirming candidates" },
+            { "commit_cycles", &obs::StageCycles::commit, 1,
+              "host cycles committing writes" },
+            { "commit_metadata_cycles", &obs::StageCycles::commitMetadata,
+              kSplit, "commit host cycles in metadata-cache accesses" },
+            { "commit_device_cycles", &obs::StageCycles::commitDevice,
+              kSplit, "commit host cycles in the data-line write" },
+        };
         obs::MetricRegistry::Scope stage = scope.scope("stage");
-        stage.gauge("digest_cycles",
-                    [this] {
-                        return static_cast<double>(stageCycles_.digest);
-                    },
-                    "host cycles fingerprinting lines");
-        stage.gauge("probe_cycles",
-                    [this] {
-                        return static_cast<double>(stageCycles_.probe);
-                    },
-                    "host cycles in metadata probes");
-        stage.gauge("pad_cycles",
-                    [this] {
-                        return static_cast<double>(stageCycles_.pad);
-                    },
-                    "host cycles generating AES pads");
-        stage.gauge("confirm_read_cycles",
-                    [this] {
-                        return static_cast<double>(
-                            stageCycles_.confirmRead);
-                    },
-                    "host cycles confirming candidates");
-        stage.gauge("commit_cycles",
-                    [this] {
-                        return static_cast<double>(stageCycles_.commit);
-                    },
-                    "host cycles committing writes");
+        for (const auto &def : kStages) {
+            stage.gauge(def.name,
+                        [this, cycles = def.cycles, scale = def.scale] {
+                            return scale * static_cast<double>(
+                                               stageCycles_.*cycles);
+                        },
+                        def.help);
+        }
     }
 }
 
 std::uint64_t
 DedupEngine::effectiveCounter(LineAddr slot) const
 {
-    const std::uint64_t *major = majors_.find(slot);
-    return ((major ? *major : 0) << options_.counterBits) |
-           counterOf(slot);
+    const SlotRecord *rec = slots_.find(slot);
+    if (!rec)
+        return 0;
+    return (majorIn(*rec, slot) << options_.counterBits) |
+           counterIn(*rec, slot);
 }
 
 std::uint64_t
 DedupEngine::bumpCounter(LineAddr slot)
 {
+    SlotRecord &rec = slots_.ref(slot);
     const std::uint64_t mask = (1ULL << options_.counterBits) - 1;
-    const std::uint64_t minor = (counterOf(slot) + 1) & mask;
+    const std::uint64_t minor = (counterIn(rec, slot) + 1) & mask;
     if (minor == 0) {
         // Minor wrap: the major counter absorbs it so the effective
         // OTP counter keeps growing (split-counter discipline).
         ++majors_[slot];
+        rec.set(SlotRecord::kHasMajor);
         counterWraps_.increment();
     }
     // The caller re-homes the minor with setCounterOf() *after* its
     // table mutations; storing it here would race the colocation home.
-    const std::uint64_t *major = majors_.find(slot);
-    return ((major ? *major : 0) << options_.counterBits) | minor;
+    return (majorIn(rec, slot) << options_.counterBits) | minor;
 }
 
 Time
@@ -261,11 +290,34 @@ DedupEngine::chargeCounterAccess(LineAddr slot, Time now)
     // The counter is read from its colocation home; when it has spilled
     // to the overflow store the probe still touches the mapping entry
     // first (that is where hardware would look).
-    const MetadataTable table = !mapping_.isRemapped(slot)
+    const MetadataTable table = !slots_.isRemapped(slot)
         ? MetadataTable::Mapping
-        : (!invHash_.holdsData(slot) ? MetadataTable::InvertedHash
-                                     : MetadataTable::Mapping);
+        : (!slots_.holdsData(slot) ? MetadataTable::InvertedHash
+                                   : MetadataTable::Mapping);
     return metadata_.access(table, slot, false, now).latency;
+}
+
+Time
+DedupEngine::commitAccess(MetadataTable table, std::uint64_t index,
+                          bool is_write, Time now)
+{
+    obs::StageTimer timer(splitSink(stageCycles_.commitMetadata));
+    return metadata_.access(table, index, is_write, now).latency;
+}
+
+Time
+DedupEngine::commitPost(MetadataTable table, std::uint64_t index, Time now)
+{
+    obs::StageTimer timer(splitSink(stageCycles_.commitMetadata));
+    return metadata_.postUpdate(table, index, now).latency;
+}
+
+Time
+DedupEngine::commitInsert(MetadataTable table, std::uint64_t index,
+                          Time now)
+{
+    obs::StageTimer timer(splitSink(stageCycles_.commitMetadata));
+    return metadata_.insertEntry(table, index, now).latency;
 }
 
 const Line &
@@ -336,10 +388,10 @@ DedupEngine::decryptStored(LineAddr slot)
 bool
 DedupEngine::references(LineAddr init_addr, LineAddr slot) const
 {
-    if (mapping_.isRemapped(init_addr))
-        return mapping_.realAddr(init_addr) == slot;
-    return init_addr == slot && invHash_.holdsData(init_addr) &&
-           written_.contains(init_addr);
+    if (slots_.isRemapped(init_addr))
+        return slots_.realAddr(init_addr) == slot;
+    return init_addr == slot && slots_.holdsData(init_addr) &&
+           slots_.written(init_addr);
 }
 
 DetectOutcome
@@ -528,12 +580,11 @@ DedupEngine::releaseOld(LineAddr init_addr, Time now)
     Time t = now;
 
     LineAddr slot = kInvalidAddr;
-    if (mapping_.isRemapped(init_addr)) {
-        slot = mapping_.realAddr(init_addr);
+    if (slots_.isRemapped(init_addr)) {
+        slot = slots_.realAddr(init_addr);
         if (slot == kNoData)
             return t;
-    } else if (invHash_.holdsData(init_addr) &&
-               written_.contains(init_addr)) {
+    } else if (slots_.holdsData(init_addr) && slots_.written(init_addr)) {
         slot = init_addr;
     } else {
         return t; // Never written: nothing to release.
@@ -541,27 +592,23 @@ DedupEngine::releaseOld(LineAddr init_addr, Time now)
 
     // Stale-hash cleaning (Section III-B2): the inverted hash table
     // recovers the fingerprint of the data the logical line is leaving.
-    t += metadata_.access(MetadataTable::InvertedHash, slot, false, t)
-             .latency;
-    const std::uint64_t stale_hash = invHash_.hash(slot);
+    t += commitAccess(MetadataTable::InvertedHash, slot, false, t);
+    const std::uint64_t stale_hash = slots_.hash(slot);
     // The stale record's decrement is a posted read-modify-write: a
     // stale hash only yields a benign failed comparison later, so it
     // never blocks the write path.
-    t += metadata_.postUpdate(MetadataTable::HashStore,
-                              hashIndex(stale_hash), t)
-             .latency;
+    t += commitPost(MetadataTable::HashStore, hashIndex(stale_hash), t);
 
     if (hashStore_.dropReference(stale_hash, slot)) {
         // Last reference died: reclaim the slot. The counter keeps its
         // value across the free so a future allocation never reuses an
         // OTP.
         const std::uint64_t counter = counterOf(slot);
-        invHash_.clearHash(slot);
-        t += metadata_.access(MetadataTable::InvertedHash, slot, true, t)
-                 .latency;
+        slots_.clearHash(slot);
+        t += commitAccess(MetadataTable::InvertedHash, slot, true, t);
         setCounterOf(slot, counter);
         fsm_.release(slot);
-        t += metadata_.access(MetadataTable::Fsm, slot, true, t).latency;
+        t += commitAccess(MetadataTable::Fsm, slot, true, t);
     }
     return t;
 }
@@ -574,6 +621,7 @@ DedupEngine::commitDuplicate(LineAddr init_addr, const DetectOutcome &detect,
         panic("commitDuplicate without a confirmed duplicate");
 
     noteCommitForEpoch(true);
+    ++commitSeq_;
     obs::StageTimer timer(stageSink(stageCycles_.commit));
     WriteCommit commit;
     commit.slot = detect.dupSlot;
@@ -591,21 +639,19 @@ DedupEngine::commitDuplicate(LineAddr init_addr, const DetectOutcome &detect,
 
     // Take the new reference before releasing the old one, so a
     // self-release can never momentarily free the slot being joined.
-    t += metadata_.access(MetadataTable::HashStore, hashIndex(detect.hash),
-                          true, t)
-             .latency;
+    t += commitAccess(MetadataTable::HashStore, hashIndex(detect.hash),
+                      true, t);
     if (!hashStore_.addReference(detect.hash, detect.dupSlot))
         panic("reference saturated between detect and commit");
 
     t = releaseOld(init_addr, t);
 
     const std::uint64_t own_counter = counterOf(init_addr);
-    mapping_.remap(init_addr, detect.dupSlot);
-    t += metadata_.access(MetadataTable::Mapping, init_addr, true, t)
-             .latency;
+    slots_.remap(init_addr, detect.dupSlot);
+    t += commitAccess(MetadataTable::Mapping, init_addr, true, t);
     setCounterOf(init_addr, own_counter);
 
-    written_.insert(init_addr);
+    slots_.markWritten(init_addr);
     dupCommits_.increment();
     commit.done = t;
     return commit;
@@ -616,27 +662,25 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
                           std::uint64_t hash, Time now, Time encrypt_ready)
 {
     noteCommitForEpoch(false);
+    ++commitSeq_;
     obs::StageTimer timer(stageSink(stageCycles_.commit));
     WriteCommit commit;
     Time t = now;
     LineAddr slot;
 
     const bool owns_slot_exclusively =
-        !mapping_.isRemapped(init_addr) && invHash_.holdsData(init_addr) &&
-        written_.contains(init_addr) &&
-        hashStore_.reference(invHash_.hash(init_addr), init_addr) == 1;
+        !slots_.isRemapped(init_addr) && slots_.holdsData(init_addr) &&
+        slots_.written(init_addr) &&
+        hashStore_.reference(slots_.hash(init_addr), init_addr) == 1;
 
     if (owns_slot_exclusively) {
         // In-place overwrite: only this logical line references its
         // slot, so the old content can simply be replaced after its
         // stale hash record is dropped.
         slot = init_addr;
-        t += metadata_.access(MetadataTable::InvertedHash, slot, true, t)
-                 .latency;
-        const std::uint64_t stale_hash = invHash_.hash(slot);
-        t += metadata_.postUpdate(MetadataTable::HashStore,
-                                  hashIndex(stale_hash), t)
-                 .latency;
+        t += commitAccess(MetadataTable::InvertedHash, slot, true, t);
+        const std::uint64_t stale_hash = slots_.hash(slot);
+        t += commitPost(MetadataTable::HashStore, hashIndex(stale_hash), t);
         if (!hashStore_.dropReference(stale_hash, slot))
             panic("exclusive slot's stale record did not die");
     } else {
@@ -644,16 +688,15 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
         slot = fsm_.allocatePreferring(init_addr);
         if (slot == kInvalidAddr)
             fatal("NVM is full: no free slot for a unique write");
-        t += metadata_.access(MetadataTable::Fsm, slot, true, t).latency;
+        t += commitAccess(MetadataTable::Fsm, slot, true, t);
 
-        if (slot != init_addr && !mapping_.isRemapped(slot)) {
+        if (slot != init_addr && !slots_.isRemapped(slot)) {
             // The allocator handed us the slot of a never-written
             // logical line; mark that line "remapped to nothing" so a
             // read of it cannot alias the foreign data (DESIGN.md §5).
             const std::uint64_t foreign_counter = counterOf(slot);
-            mapping_.remap(slot, kNoData);
-            t += metadata_.access(MetadataTable::Mapping, slot, true, t)
-                     .latency;
+            slots_.remap(slot, kNoData);
+            t += commitAccess(MetadataTable::Mapping, slot, true, t);
             setCounterOf(slot, foreign_counter);
         }
     }
@@ -680,38 +723,37 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
         ? options_.reducer->onWrite(slot, plaintext, counter)
         : kLineBits;
     const Time write_start = std::max(t, ciphertext_ready);
-    const NvmTiming write = device_.write(slot, ciphertext, write_start,
-                                          bits);
+    NvmTiming write;
+    {
+        obs::StageTimer device_timer(splitSink(stageCycles_.commitDevice));
+        write = device_.write(slot, ciphertext, write_start, bits);
+    }
 
     // Install the new metadata; these cache updates overlap the 300 ns
     // cell write.
     Time tm = t;
-    invHash_.setHash(slot, hash);
-    tm += metadata_.access(MetadataTable::InvertedHash, slot, true, tm)
-              .latency;
+    slots_.setHash(slot, hash);
+    tm += commitAccess(MetadataTable::InvertedHash, slot, true, tm);
     hashStore_.insert(hash, slot);
     // A brand-new record: no-fetch allocate (nothing to read-modify).
-    tm += metadata_.insertEntry(MetadataTable::HashStore, hashIndex(hash),
-                                tm)
-              .latency;
+    tm += commitInsert(MetadataTable::HashStore, hashIndex(hash), tm);
 
     if (slot == init_addr) {
-        if (mapping_.isRemapped(init_addr))
-            mapping_.clearRemap(init_addr);
+        if (slots_.isRemapped(init_addr))
+            slots_.clearRemap(init_addr);
     } else {
         // Remapping evicts whatever the mapping entry held; when the
         // entry was null it was the colocation home of slot
         // init_addr's own counter (possibly protecting shared data
         // still stored there), which must move to a new home.
         const std::uint64_t own_counter = counterOf(init_addr);
-        mapping_.remap(init_addr, slot);
+        slots_.remap(init_addr, slot);
         setCounterOf(init_addr, own_counter);
     }
-    tm += metadata_.access(MetadataTable::Mapping, init_addr, true, tm)
-              .latency;
+    tm += commitAccess(MetadataTable::Mapping, init_addr, true, tm);
     setCounterOf(slot, minor_counter);
 
-    written_.insert(init_addr);
+    slots_.markWritten(init_addr);
     uniqueCommits_.increment();
 
     commit.slot = slot;
@@ -743,9 +785,9 @@ DedupEngine::timedRead(LineAddr init_addr, Time now, LineAddr &slot)
                  .latency;
 
     Time counter_latency = 0;
-    if (mapping_.isRemapped(init_addr)) {
+    if (slots_.isRemapped(init_addr)) {
         out.remapped = true;
-        slot = mapping_.realAddr(init_addr);
+        slot = slots_.realAddr(init_addr);
         if (slot == kNoData) {
             out.done = t;
             return out; // Sentinel: logical line holds no data.
@@ -754,8 +796,7 @@ DedupEngine::timedRead(LineAddr init_addr, Time now, LineAddr &slot)
         // which costs a second metadata access.
         counter_latency = chargeCounterAccess(slot, t);
     } else {
-        if (!written_.contains(init_addr) ||
-            !invHash_.holdsData(init_addr)) {
+        if (!slots_.written(init_addr) || !slots_.holdsData(init_addr)) {
             out.done = t;
             return out; // Never written: reads as zero.
         }

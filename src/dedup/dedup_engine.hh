@@ -8,12 +8,19 @@
  * through the metadata cache and the NVM device, so the same object
  * serves both correctness tests and the paper's performance experiments.
  *
+ * On the host, the mapping entry, inverted-hash entry, hash-store record
+ * and written bit of each line address share one SlotRecord
+ * (dedup/slot_table.hh); the simulated metadata cache still charges each
+ * table separately.
+ *
  * Counter colocation (Section III-C) is centralized here: the per-slot
  * encryption counter lives in whichever of mapping[S] / invertedHash[S]
  * is currently a null entry. Both can be occupied in one corner case the
  * paper does not discuss (slot S holds foreign data while logical S is
  * remapped); those counters spill to a small overflow store whose
  * occupancy is tracked and expected to stay near zero (see DESIGN.md).
+ * The record flags which slots spilled and which have a major counter,
+ * so the side maps are probed only for those.
  *
  * Write-path split: the memory controller decides *scheduling* (direct /
  * parallel / predicted, Figure 3) by calling detect() and then one of
@@ -43,10 +50,9 @@
 #include "obs/metric_registry.hh"
 #include "obs/stage_profile.hh"
 #include "obs/trace_ring.hh"
-#include "dedup/address_mapping.hh"
 #include "dedup/free_space.hh"
 #include "dedup/hash_store.hh"
-#include "dedup/inverted_hash.hh"
+#include "dedup/slot_table.hh"
 
 namespace dewrite {
 
@@ -234,8 +240,8 @@ class DedupEngine
 
     /** @{ Structure access for tests and benches. */
     const HashStore &hashStore() const { return hashStore_; }
-    const AddressMappingTable &mapping() const { return mapping_; }
-    const InvertedHashTable &invertedHash() const { return invHash_; }
+    /** Mapping, inverted-hash and written state, one record per line. */
+    const SlotTable &slots() const { return slots_; }
     const FreeSpaceTable &freeSpace() const { return fsm_; }
     /** @} */
 
@@ -321,9 +327,9 @@ class DedupEngine
     /** Recovery rebuilds the derived structures in place. */
     friend class RecoveryManager;
 
-    /** The audit layer reads written_/overflow_ (DESIGN.md §5e); the
-     *  test peer corrupts tables deliberately to prove the auditor
-     *  names the right invariant. */
+    /** The audit layer reads overflow_ (DESIGN.md §5e); the test peer
+     *  corrupts tables deliberately to prove the auditor names the
+     *  right invariant. */
     friend class MetadataAuditor;
     friend class MetadataAuditorTestPeer;
 
@@ -339,6 +345,12 @@ class DedupEngine
 
     /** Stores @p counter at slot @p slot's current colocation home. */
     void setCounterOf(LineAddr slot, std::uint64_t counter);
+
+    /** counterOf() for slot @p slot, whose record is @p rec. */
+    std::uint64_t counterIn(const SlotRecord &rec, LineAddr slot) const;
+
+    /** Major counter of slot @p slot, whose record is @p rec. */
+    std::uint64_t majorIn(const SlotRecord &rec, LineAddr slot) const;
 
     /**
      * Charges the metadata access that fetches slot @p slot's counter
@@ -404,6 +416,25 @@ class DedupEngine
         return stageProfile_ ? &cycles : nullptr;
     }
 
+    /** Commit-split sink for @p cycles: non-null on every
+     *  kCommitSplitPeriod-th commit when profiling. */
+    std::uint64_t *
+    splitSink(std::uint64_t &cycles)
+    {
+        return stageProfile_ && commitSeq_ % kCommitSplitPeriod == 0
+                   ? &cycles
+                   : nullptr;
+    }
+
+    /** @{ The metadata-cache operations of a commit, their host cycles
+     *  charged to the commit_metadata stage on sampled commits; each
+     *  returns its latency. */
+    Time commitAccess(MetadataTable table, std::uint64_t index,
+                      bool is_write, Time now);
+    Time commitPost(MetadataTable table, std::uint64_t index, Time now);
+    Time commitInsert(MetadataTable table, std::uint64_t index, Time now);
+    /** @} */
+
     const SystemConfig &config_;
     NvmDevice &device_;
     MetadataCache &metadata_;
@@ -412,23 +443,21 @@ class DedupEngine
     FastDiv hashIndexDiv_; //!< hash % numLines on every store probe.
 
     Fingerprinter fingerprinter_;
-    HashStore hashStore_;
-    AddressMappingTable mapping_;
-    InvertedHashTable invHash_;
+    SlotTable slots_; //!< Declared first: hashStore_ keeps records here.
+    HashStore hashStore_{ slots_ };
     FreeSpaceTable fsm_;
 
-    /** Counters homeless in both tables (rare corner; see DESIGN.md). */
+    /** Counters homeless in both tables (rare corner; see DESIGN.md);
+     *  a slot is here iff its record has kHasOverflow. */
     DenseAddrMap<std::uint64_t> overflow_;
 
     /**
      * Per-line major counters (split-counter overflow handling). Only
-     * lines whose minor counter has wrapped appear here; real designs
-     * hold the shared major alongside the page's counters.
+     * lines whose minor counter has wrapped appear here (and have
+     * kHasMajor); real designs hold the shared major alongside the
+     * page's counters.
      */
     DenseAddrMap<std::uint64_t> majors_;
-
-    /** Logical lines ever written (functional validity only). */
-    DenseAddrSet written_;
 
     /** Host-side memo of generated OTPs (pure optimization). */
     PadCache padCache_;
@@ -436,6 +465,15 @@ class DedupEngine
     /** Host-cycle stage attribution (DEWRITE_STAGE_PROFILE=1 only). */
     obs::StageCycles stageCycles_;
     const bool stageProfile_ = obs::stageProfileEnabled();
+
+    /**
+     * The commit_metadata/commit_device split times one commit in this
+     * many and its gauges scale the sums back up: a timer pair costs
+     * about 90 host cycles, and timing the six or so accesses of every
+     * commit would add a third to the inclusive commit stage it splits.
+     */
+    static constexpr std::uint64_t kCommitSplitPeriod = 64;
+    std::uint64_t commitSeq_ = 0; //!< Commits so far.
 
     Energy energy_ = 0;
 

@@ -14,12 +14,12 @@
  * Storage is split the way NV-Dedup splits its weak-hash table: a
  * compact 16 B-slot FlatMap from hash to the newest slot of its chain,
  * beside per-slot records (hash, reference, link to the next older
- * slot of the chain) in a PagedArray indexed by real address. A slot
- * holds one content, so it sits in at most one chain; its record is
- * found by address alone, and only insert, removal and lookup probe
- * the hash index. Record pages are touched lazily, so an empty store
- * costs the index alone. Strong fingerprints live in a side table that
- * only the weak+strong policies ever touch.
+ * slot of the chain). A slot holds one content, so it sits in at most
+ * one chain, and its record lives in the slot's SlotRecord (the
+ * storeHash/older/reference fields and the strong-valid flag), found by
+ * address alone; only insert, removal and lookup probe the hash index.
+ * Strong fingerprints live in a side table that only the weak+strong
+ * policies ever touch.
  *
  * Chain order is append order and removal preserves it; lookup walks
  * it newest-first, exactly the order of the engine's capped probe.
@@ -36,6 +36,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "crypto/strong_fingerprint.hh"
+#include "dedup/slot_table.hh"
 
 namespace dewrite {
 
@@ -55,20 +56,18 @@ struct HashEntry
 
 class HashStore
 {
-    /** Per-slot record; all-zero is "no record". */
-    struct Record
-    {
-        std::uint64_t hash;
-        std::uint32_t older; //!< Next older slot of the chain, or kNil.
-        std::uint8_t reference;
-        bool strongValid;
-    };
+    /** Chain links hold slot + 1, so a zeroed link ends the chain. */
+    static constexpr std::uint32_t kEnd = 0;
 
-    static constexpr std::uint32_t kNil = 0xffffffffu;
+    /** One past the highest slot a link can name. */
+    static constexpr LineAddr kSlotLimit = 0xffffffffu;
 
   public:
     /** Saturation limit of the 8-bit reference field. */
     static constexpr std::uint8_t kMaxReference = 255;
+
+    /** A store keeping its per-slot records in @p slots. */
+    explicit HashStore(SlotTable &slots) : slots_(slots) {}
 
     /**
      * One hash's collision chain, walked newest-first. Valid until the
@@ -81,35 +80,35 @@ class HashStore
         class Iterator
         {
           public:
-            HashEntry operator*() const { return store_->entryAt(slot_); }
+            HashEntry operator*() const { return store_->entryAt(link_ - 1); }
 
             Iterator &
             operator++()
             {
-                slot_ = store_->records_.find(slot_)->older;
+                link_ = store_->slots_.find(link_ - 1)->older;
                 return *this;
             }
 
             bool
             operator!=(const Iterator &other) const
             {
-                return slot_ != other.slot_;
+                return link_ != other.link_;
             }
 
           private:
             friend class ChainView;
-            Iterator(const HashStore *store, std::uint32_t slot)
-                : store_(store), slot_(slot)
+            Iterator(const HashStore *store, std::uint32_t link)
+                : store_(store), link_(link)
             {
             }
 
             const HashStore *store_;
-            std::uint32_t slot_;
+            std::uint32_t link_; //!< Current slot + 1.
         };
 
         Iterator begin() const { return { store_, newest_ }; }
-        Iterator end() const { return { store_, kNil }; }
-        bool empty() const { return newest_ == kNil; }
+        Iterator end() const { return { store_, kEnd }; }
+        bool empty() const { return newest_ == kEnd; }
 
         /** Chain length (walks the chain). */
         std::size_t
@@ -129,7 +128,7 @@ class HashStore
         }
 
         const HashStore *store_;
-        std::uint32_t newest_;
+        std::uint32_t newest_; //!< Newest slot + 1.
     };
 
     /**
@@ -163,7 +162,7 @@ class HashStore
     std::uint8_t
     reference(std::uint64_t hash, LineAddr real_addr) const
     {
-        const Record *rec = live(hash, real_addr);
+        const SlotRecord *rec = live(hash, real_addr);
         return rec ? rec->reference : 0;
     }
 
@@ -185,9 +184,10 @@ class HashStore
     const StrongFp *
     strongFpOf(std::uint64_t hash, LineAddr real_addr) const
     {
-        const Record *rec = live(hash, real_addr);
-        return rec && rec->strongValid ? strongFps_.find(real_addr)
-                                       : nullptr;
+        const SlotRecord *rec = live(hash, real_addr);
+        return rec && rec->has(SlotRecord::kStrongValid)
+                   ? strongFps_.find(real_addr)
+                   : nullptr;
     }
 
     /**
@@ -206,18 +206,25 @@ class HashStore
     }
 
     /**
-     * Pre-sizes the hash index for @p expected records and the record
-     * directories for slots below @p slots (no mid-run rehash or
-     * directory growth). Construction-time pre-sizing: the analyzer's
-     * hot edges to it are a member-name over-approximation.
+     * Pre-sizes the hash index for @p expected records and the strong
+     * fingerprint directory for slots below @p slots (no mid-run rehash
+     * or directory growth); the SlotTable sizes the records.
+     * Construction-time pre-sizing: the analyzer's hot edges to it are
+     * a member-name over-approximation.
      */
     void
     reserve(std::size_t expected, std::uint64_t slots)
     {
         newest_.reserve(expected); // dewrite-analyze: allow(hot-path-purity)
-        records_.reserve(slots); // dewrite-analyze: allow(hot-path-purity)
         strongFps_.reserve(slots); // dewrite-analyze: allow(hot-path-purity)
     }
+
+    /**
+     * Drops every record: the index, the strong fingerprints and the
+     * records' fields in the SlotTable — and nothing else of it — plus
+     * the saturation count. Crash damage and recovery start from here.
+     */
+    void clear();
 
     /** Number of live records. */
     std::size_t size() const { return size_; }
@@ -250,27 +257,44 @@ class HashStore
     void
     forEach(Visitor &&visit) const
     {
-        newest_.forEachSorted([&](std::uint64_t hash, std::uint32_t slot) {
-            visitOldestFirst(hash, slot, visit);
+        newest_.forEachSorted([&](std::uint64_t hash, std::uint32_t link) {
+            visitOldestFirst(hash, link - 1, visit);
         });
     }
 
   private:
     /** The record of @p real_addr if it is live under @p hash. */
-    const Record *live(std::uint64_t hash, LineAddr real_addr) const;
-    Record *
+    const SlotRecord *live(std::uint64_t hash, LineAddr real_addr) const
+    {
+        const SlotRecord *rec = slots_.find(real_addr);
+        return rec && rec->reference != 0 && rec->storeHash == hash
+                   ? rec
+                   : nullptr;
+    }
+    SlotRecord *
     live(std::uint64_t hash, LineAddr real_addr)
     {
-        return const_cast<Record *>(
+        return const_cast<SlotRecord *>(
             static_cast<const HashStore *>(this)->live(hash, real_addr));
     }
 
     HashEntry
-    entryAt(std::uint32_t slot) const
+    entryAt(LineAddr slot) const
     {
-        const Record &rec = *records_.find(slot);
+        const SlotRecord &rec = *slots_.find(slot);
         return { slot, rec.reference,
-                 rec.strongValid ? strongFps_.find(slot) : nullptr };
+                 rec.has(SlotRecord::kStrongValid) ? strongFps_.find(slot)
+                                                   : nullptr };
+    }
+
+    /** Resets the hash-store fields of @p rec to "no record". */
+    static void
+    clearRecord(SlotRecord &rec)
+    {
+        rec.storeHash = 0;
+        rec.older = kEnd;
+        rec.reference = 0;
+        rec.clear(SlotRecord::kStrongValid);
     }
 
     /** Links a new newest record into @p hash's chain. */
@@ -283,17 +307,17 @@ class HashStore
      */
     template <typename Visitor>
     void
-    visitOldestFirst(std::uint64_t hash, std::uint32_t slot,
+    visitOldestFirst(std::uint64_t hash, LineAddr slot,
                      Visitor &visit) const
     {
-        const std::uint32_t older = records_.find(slot)->older;
-        if (older != kNil)
-            visitOldestFirst(hash, older, visit);
+        const std::uint32_t older = slots_.find(slot)->older;
+        if (older != kEnd)
+            visitOldestFirst(hash, older - 1, visit);
         visit(hash, entryAt(slot));
     }
 
-    FlatMap<std::uint64_t, std::uint32_t> newest_; //!< hash -> newest slot
-    PagedArray<Record> records_;                   //!< by real address
+    SlotTable &slots_;                             //!< records, by slot
+    FlatMap<std::uint64_t, std::uint32_t> newest_; //!< hash -> newest + 1
     PagedArray<StrongFp> strongFps_; //!< by real address, weak+strong only
     std::size_t size_ = 0;
     Counter saturationRefusals_;

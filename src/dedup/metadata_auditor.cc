@@ -93,17 +93,16 @@ MetadataAuditor::check() const
             first = std::move(violation);
     };
 
-    const AddressMappingTable &mapping = engine_.mapping();
-    const InvertedHashTable &inv = engine_.invertedHash();
+    const SlotTable &slots = engine_.slots();
     const HashStore &store = engine_.hashStore();
     const FreeSpaceTable &fsm = engine_.freeSpace();
 
     // 1. Remapped logical lines must target live data (or the explicit
     //    "remapped to nothing" sentinel).
-    mapping.forEachRemapped([&](LineAddr logical, LineAddr slot) {
+    slots.forEachRemapped([&](LineAddr logical, LineAddr slot) {
         if (first || slot == DedupEngine::kNoData)
             return;
-        if (!inv.holdsData(slot)) {
+        if (!slots.holdsData(slot)) {
             AuditViolation v;
             v.invariant = AuditInvariant::MappingTargetHoldsData;
             v.logical = logical;
@@ -121,19 +120,19 @@ MetadataAuditor::check() const
     // at the slot, plus the slot's own logical when it keeps its data
     // in place.
     PagedArray<std::uint64_t> refs;
-    mapping.forEachRemapped([&](LineAddr, LineAddr slot) {
+    slots.forEachRemapped([&](LineAddr, LineAddr slot) {
         if (slot != DedupEngine::kNoData)
             ++refs.ref(slot);
     });
-    inv.forEachDataSlot([&](LineAddr slot, std::uint64_t) {
-        if (!mapping.isRemapped(slot) && engine_.written_.contains(slot))
+    slots.forEachDataSlot([&](LineAddr slot, std::uint64_t) {
+        if (!slots.isRemapped(slot) && slots.written(slot))
             ++refs.ref(slot);
     });
 
     // 2. Every data slot needs a hash-store record under its stored
     //    fingerprint, with the true reference count, and must be
     //    marked allocated in the free-space bitmap.
-    inv.forEachDataSlot([&](LineAddr slot, std::uint64_t hash) {
+    slots.forEachDataSlot([&](LineAddr slot, std::uint64_t hash) {
         if (first)
             return;
         const std::uint8_t recorded = store.reference(hash, slot);
@@ -187,14 +186,14 @@ MetadataAuditor::check() const
     store.forEach([&](std::uint64_t hash, const HashEntry &entry) {
         if (first)
             return;
-        if (!inv.holdsData(entry.realAddr) ||
-            inv.hash(entry.realAddr) != hash) {
+        if (!slots.holdsData(entry.realAddr) ||
+            slots.hash(entry.realAddr) != hash) {
             AuditViolation v;
             v.invariant = AuditInvariant::HashRecordMatchesSlot;
             v.slot = entry.realAddr;
             v.expected = hash;
-            v.actual = inv.holdsData(entry.realAddr)
-                           ? inv.hash(entry.realAddr)
+            v.actual = slots.holdsData(entry.realAddr)
+                           ? slots.hash(entry.realAddr)
                            : 0;
             v.detail = formatDetail(
                 "hash-store record (%#llx, slot %llu) does not match "
@@ -232,7 +231,7 @@ MetadataAuditor::check() const
     // 4. The other direction of the FSM equivalence: an allocated slot
     //    must hold data (step 2 already caught free data slots).
     for (LineAddr slot = 0; slot < fsm.capacity() && !first; ++slot) {
-        if (!fsm.isFree(slot) && !inv.holdsData(slot)) {
+        if (!fsm.isFree(slot) && !slots.holdsData(slot)) {
             AuditViolation v;
             v.invariant = AuditInvariant::FsmMatchesDataSlots;
             v.slot = slot;
@@ -253,18 +252,25 @@ MetadataAuditor::check() const
         [&](LineAddr slot, std::uint64_t counter) {
             if (first)
                 return;
-            const bool mapping_home_free = !mapping.isRemapped(slot);
-            const bool inv_home_free = !inv.holdsData(slot);
-            if (mapping_home_free || inv_home_free) {
+            const bool mapping_home_free = !slots.isRemapped(slot);
+            const bool inv_home_free = !slots.holdsData(slot);
+            const SlotRecord *rec = slots.find(slot);
+            const bool flagged =
+                rec && rec->has(SlotRecord::kHasOverflow);
+            if (mapping_home_free || inv_home_free || !flagged) {
+                // Unflagged, the spilled counter is invisible to
+                // counterOf(), which would read 0 and repeat a pad.
                 AuditViolation v;
                 v.invariant = AuditInvariant::CounterSingleHome;
                 v.slot = slot;
                 v.actual = counter;
                 v.detail = formatDetail(
                     "slot %llu's counter %llu sits in the overflow "
-                    "store while its %s entry is a free home",
+                    "store while %s",
                     u(slot), u(counter),
-                    mapping_home_free ? "mapping" : "inverted-hash");
+                    mapping_home_free ? "its mapping entry is free"
+                    : inv_home_free   ? "its inverted-hash entry is free"
+                                      : "its record does not flag it");
                 report(std::move(v));
             }
         });

@@ -4,7 +4,9 @@
  *
  * DedupEngine maintains four structures whose mutual consistency the
  * compiler cannot see: the address-mapping table, the inverted hash
- * table, the hash store, and the free-space bitmap, plus the counter
+ * table, the hash store (the first two and the hash store's records
+ * share one SlotTable on the host, each in its own fields), and the
+ * free-space bitmap, plus the counter
  * colocation discipline of Section III-C. The invariants (stated at
  * the top of dedup_engine.cc) only break through bugs, and a break
  * silently skews every downstream figure. The auditor walks all four
@@ -59,7 +61,8 @@ enum class AuditInvariant
     FsmMatchesDataSlots,
     /** A slot's encryption counter must live in exactly one home:
      *  overflow entries may exist only while both the mapping and
-     *  inverted-hash entries of the slot are occupied. */
+     *  inverted-hash entries of the slot are occupied, and only with
+     *  the slot record's spill flag set. */
     CounterSingleHome,
     /** A hash-store record whose strong-fingerprint flag is valid must
      *  cache exactly the fingerprint of the slot's stored (decrypted)

@@ -22,22 +22,17 @@ namespace {
  * when it holds its own data.
  */
 PagedArray<std::uint64_t>
-recomputeReferences(const DedupEngine &engine,
-                    const DenseAddrSet &written)
+recomputeReferences(const SlotTable &slots)
 {
     PagedArray<std::uint64_t> refs;
-    engine.mapping().forEachRemapped(
-        [&](LineAddr, LineAddr real_addr) {
-            if (real_addr != DedupEngine::kNoData)
-                ++refs.ref(real_addr);
-        });
-    engine.invertedHash().forEachDataSlot(
-        [&](LineAddr slot, std::uint64_t) {
-            if (!engine.mapping().isRemapped(slot) &&
-                written.contains(slot)) {
-                ++refs.ref(slot);
-            }
-        });
+    slots.forEachRemapped([&](LineAddr, LineAddr real_addr) {
+        if (real_addr != DedupEngine::kNoData)
+            ++refs.ref(real_addr);
+    });
+    slots.forEachDataSlot([&](LineAddr slot, std::uint64_t) {
+        if (!slots.isRemapped(slot) && slots.written(slot))
+            ++refs.ref(slot);
+    });
     return refs;
 }
 
@@ -51,11 +46,12 @@ AuditReport
 RecoveryManager::audit() const
 {
     AuditReport report;
-    const auto refs = recomputeReferences(engine_, engine_.written_);
+    const SlotTable &slots = engine_.slots();
+    const auto refs = recomputeReferences(slots);
 
     // Every data slot must have a matching hash-store record with the
     // true reference count (saturated records are pinned and exempt).
-    engine_.invertedHash().forEachDataSlot(
+    slots.forEachDataSlot(
         [&](LineAddr slot, std::uint64_t hash) {
             ++report.hashRecordsChecked;
             const std::uint8_t recorded =
@@ -75,8 +71,8 @@ RecoveryManager::audit() const
     // dewrite-lint: allow(unsorted-iteration) commutative counts
     engine_.hashStore().forEach(
         [&](std::uint64_t hash, const HashEntry &entry) {
-            if (!engine_.invertedHash().holdsData(entry.realAddr) ||
-                engine_.invertedHash().hash(entry.realAddr) != hash) {
+            if (!slots.holdsData(entry.realAddr) ||
+                slots.hash(entry.realAddr) != hash) {
                 ++report.strayHashRecords;
             }
         });
@@ -84,7 +80,7 @@ RecoveryManager::audit() const
     // The FSM bitmap must mark exactly the data slots as used.
     for (LineAddr slot = 0; slot < engine_.freeSpace().capacity();
          ++slot) {
-        const bool holds = engine_.invertedHash().holdsData(slot);
+        const bool holds = slots.holdsData(slot);
         if (engine_.freeSpace().isFree(slot) == holds)
             ++report.fsmMismatches;
     }
@@ -94,7 +90,7 @@ RecoveryManager::audit() const
 void
 RecoveryManager::simulateCrashDamage()
 {
-    engine_.hashStore_ = HashStore();
+    engine_.hashStore_.clear();
     engine_.fsm_ = FreeSpaceTable(engine_.config_.memory.numLines);
 }
 
@@ -103,13 +99,14 @@ RecoveryManager::rebuild()
 {
     RecoveryReport report;
 
-    const auto refs = recomputeReferences(engine_, engine_.written_);
-    engine_.mapping().forEachRemapped(
+    const SlotTable &slots = engine_.slots();
+    const auto refs = recomputeReferences(slots);
+    slots.forEachRemapped(
         [&](LineAddr, LineAddr) { ++report.mappingsScanned; });
 
     // Start from empty derived structures and restore them from the
     // durable inverted-hash walk.
-    engine_.hashStore_ = HashStore();
+    engine_.hashStore_.clear();
     engine_.hashStore_.reserve(engine_.config_.memory.workingSetHint(),
                                engine_.config_.memory.numLines);
     engine_.fsm_ = FreeSpaceTable(engine_.config_.memory.numLines);
@@ -123,7 +120,7 @@ RecoveryManager::rebuild()
         engine_.options_.detect == DetectPolicy::Adaptive;
 
     std::vector<LineAddr> orphaned;
-    engine_.invertedHash().forEachDataSlot(
+    slots.forEachDataSlot(
         [&](LineAddr slot, std::uint64_t hash) {
             ++report.slotsScanned;
             const std::uint64_t count = refs.get(slot);
@@ -145,7 +142,7 @@ RecoveryManager::rebuild()
         });
     for (LineAddr slot : orphaned) {
         const std::uint64_t counter = engine_.counterOf(slot);
-        engine_.invHash_.clearHash(slot);
+        engine_.slots_.clearHash(slot);
         engine_.setCounterOf(slot, counter);
     }
 

@@ -4,7 +4,8 @@
  *
  * With DEWRITE_STAGE_PROFILE=1, the dedup engine timestamps each write
  * pipeline stage — digest, metadata probe, pad generation, confirm
- * read, commit — with the host TSC and accumulates cycles per stage;
+ * read, commit, and within commit its metadata-cache walk and its
+ * device write — with the host TSC and accumulates cycles per stage;
  * the sums surface as registry gauges under "controller.dedup.stage.*"
  * and bench_throughput records them per scheme, so the dewrite /
  * secure-baseline throughput gap is attributable to a stage instead of
@@ -17,7 +18,8 @@
  *
  * Stages attribute *work*, not disjoint wall time: a pad generated
  * lazily inside a confirm-read compare accrues to both "pad" and
- * "confirm_read", so the per-stage sums can exceed the end-to-end
+ * "confirm_read", and commit_metadata/commit_device are parts of the
+ * inclusive "commit", so the per-stage sums can exceed the end-to-end
  * total.
  */
 
@@ -50,6 +52,10 @@ struct StageCycles
     std::uint64_t pad = 0;         //!< AES-NI OTP generation.
     std::uint64_t confirmRead = 0; //!< Candidate reads + compares.
     std::uint64_t commit = 0;      //!< Metadata installs + line write.
+    /** The part of commit spent in metadata-cache accesses. */
+    std::uint64_t commitMetadata = 0;
+    /** The part of commit spent in the data-line device write. */
+    std::uint64_t commitDevice = 0;
 };
 
 /** Monotonic host cycle counter (TSC; ns-granular fallback). */

@@ -5,6 +5,7 @@
 
 #include "common/huge_pages.hh"
 
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdint>
@@ -13,7 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/dense_line_store.hh"
+#include "common/line.hh"
 #include "common/paged_array.hh"
+#include "crypto/strong_fingerprint.hh"
+#include "dedup/slot_table.hh"
 
 namespace dewrite {
 namespace {
@@ -120,6 +125,78 @@ TEST(HugePages, DefaultPageEntriesTargetOneHugePage)
     EXPECT_EQ(pagedArrayDefaultEntries(24),
               std::bit_floor(kHugePageBytes / 24));
     EXPECT_EQ(pagedArrayDefaultEntries(kHugePageBytes), 4096u);
+}
+
+/**
+ * Allocates a PagedArray-shaped page of T the way PagedArray::ref does
+ * and checks that every entry reads as T{}, byte for byte.
+ */
+template <typename T, std::size_t kEntries = pagedArrayDefaultEntries(
+                          sizeof(T))>
+void
+expectFreshPageReadsValueInit()
+{
+    auto page = makeHuge<std::array<T, kEntries>>();
+    const T value{};
+    for (std::size_t i = 0; i < kEntries; ++i) {
+        ASSERT_EQ(std::memcmp(&(*page)[i], &value, sizeof(T)), 0)
+            << "entry " << i;
+    }
+}
+
+/** Value-initializes to nonzero bytes, so it must keep the fill. */
+struct NonZeroDefault
+{
+    std::uint64_t word = 0x5a5a5a5a5a5a5a5aull;
+};
+
+void
+expectEveryEntryTypeReadsValueInit()
+{
+    // Zero-byte types on the mmap path (no fill)...
+    static_assert(zeroBytesAreValueInit<std::uint8_t> &&
+                  zeroBytesAreValueInit<std::uint64_t> &&
+                  zeroBytesAreValueInit<StrongFp> &&
+                  zeroBytesAreValueInit<SlotRecord> &&
+                  zeroBytesAreValueInit<Line>);
+    static_assert(!zeroBytesAreValueInit<NonZeroDefault>);
+    expectFreshPageReadsValueInit<std::uint8_t>();
+    expectFreshPageReadsValueInit<std::uint64_t>();
+    expectFreshPageReadsValueInit<StrongFp>();
+    expectFreshPageReadsValueInit<SlotRecord>();
+    expectFreshPageReadsValueInit<Line, DenseLineStore::kPageLines>();
+    // ...a type that must still be filled...
+    expectFreshPageReadsValueInit<NonZeroDefault>();
+    // ...and pages small enough for the plain-heap path, which is
+    // never zeroed by the kernel and keeps its fill.
+    static_assert(!hugeAllocZeroes(sizeof(std::array<SlotRecord, 64>)));
+    expectFreshPageReadsValueInit<SlotRecord, 64>();
+    expectFreshPageReadsValueInit<Line, 64>();
+
+    // DenseAddrMap's entry type is private: its fresh page must read as
+    // absent everywhere but the touched index.
+    DenseAddrMap<std::uint64_t> map;
+    map[3] = 9;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        if (i != 3) {
+            EXPECT_EQ(map.find(i), nullptr) << i;
+        }
+    }
+    EXPECT_EQ(*map.find(3), 9u);
+}
+
+TEST(HugePages, FreshPagesOfEveryEntryTypeReadAsValueInit)
+{
+    expectEveryEntryTypeReadsValueInit();
+}
+
+TEST(HugePages, FreshPagesReadAsValueInitWhenAdviseFails)
+{
+    const std::uint64_t before = hugeAdviseFailures().load();
+    hugeAdviseForceFailure().store(true);
+    expectEveryEntryTypeReadsValueInit();
+    hugeAdviseForceFailure().store(false);
+    EXPECT_GT(hugeAdviseFailures().load(), before);
 }
 
 } // namespace

@@ -116,8 +116,8 @@ TEST_F(DedupEngineTest, DuplicateWriteIsEliminated)
     EXPECT_EQ(commit.slot, 1u);
     EXPECT_EQ(engine_.duplicateCommits(), 1u);
     EXPECT_EQ(engine_.hashStore().reference(crc32(data), 1), 2u);
-    EXPECT_TRUE(engine_.mapping().isRemapped(2));
-    EXPECT_EQ(engine_.mapping().realAddr(2), 1u);
+    EXPECT_TRUE(engine_.slots().isRemapped(2));
+    EXPECT_EQ(engine_.slots().realAddr(2), 1u);
 
     // Both logical lines read the same content; only one device line
     // was ever written.
@@ -187,7 +187,7 @@ TEST_F(DedupEngineTest, LastReferenceFreesSlot)
     writeLine(2, Line::random(rng));
     EXPECT_TRUE(engine_.freeSpace().isFree(1));
     EXPECT_TRUE(engine_.hashStore().lookup(crc32(shared)).empty());
-    EXPECT_FALSE(engine_.invertedHash().holdsData(1));
+    EXPECT_FALSE(engine_.slots().holdsData(1));
 }
 
 TEST_F(DedupEngineTest, ZeroLinesAllDeduplicateToOneSlot)
@@ -284,7 +284,7 @@ TEST_F(DedupEngineTest, ForeignSlotAllocationDoesNotAliasReads)
     writeLine(1, Line::random(rng)); // Relocates to a foreign slot F.
     // Whatever slot was chosen, reading that logical line must still
     // report "never written", not the foreign data.
-    const LineAddr foreign = engine_.mapping().realAddr(1);
+    const LineAddr foreign = engine_.slots().realAddr(1);
     ASSERT_NE(foreign, 1u);
     if (foreign != 2) {
         const ReadOutcome out = engine_.read(foreign, now_);
@@ -337,7 +337,7 @@ TEST_F(DedupEngineTest, DuplicateOfRemappedLineChainsCorrectly)
     writeLine(2, a);  // 2 -> slot 1.
     writeLine(3, b);
     writeLine(2, b);  // 2 drops slot 1, joins slot 3.
-    EXPECT_EQ(engine_.mapping().realAddr(2), 3u);
+    EXPECT_EQ(engine_.slots().realAddr(2), 3u);
     EXPECT_EQ(engine_.hashStore().reference(crc32(a), 1), 1u);
     EXPECT_EQ(engine_.hashStore().reference(crc32(b), 3), 2u);
     EXPECT_EQ(readLine(1), a);

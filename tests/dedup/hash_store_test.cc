@@ -30,14 +30,16 @@ chainOf(const HashStore &store, std::uint64_t hash)
 
 TEST(HashStoreTest, EmptyLookup)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     EXPECT_TRUE(store.lookup(0x1234).empty());
     EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(HashStoreTest, InsertAndLookup)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0xaaaa, 7);
     const auto chain = store.lookup(0xaaaa);
     ASSERT_EQ(chain.size(), 1u);
@@ -50,7 +52,8 @@ TEST(HashStoreTest, InsertAndLookup)
 
 TEST(HashStoreTest, CollisionChains)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0xbbbb, 1);
     store.insert(0xbbbb, 2);
     EXPECT_EQ(store.lookup(0xbbbb).size(), 2u);
@@ -61,7 +64,8 @@ TEST(HashStoreTest, CollisionChains)
 
 TEST(HashStoreTest, ReferenceLifecycle)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0xcccc, 5);
     EXPECT_TRUE(store.addReference(0xcccc, 5));
     EXPECT_EQ(store.reference(0xcccc, 5), 2u);
@@ -73,7 +77,8 @@ TEST(HashStoreTest, ReferenceLifecycle)
 
 TEST(HashStoreTest, SaturationRefusesNewReferences)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0xdddd, 3);
     for (int i = 1; i < 255; ++i)
         EXPECT_TRUE(store.addReference(0xdddd, 3));
@@ -86,7 +91,8 @@ TEST(HashStoreTest, SaturationRefusesNewReferences)
 
 TEST(HashStoreTest, SaturatedRecordIsPinned)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0xeeee, 4);
     for (int i = 1; i < 255; ++i)
         store.addReference(0xeeee, 4);
@@ -99,7 +105,8 @@ TEST(HashStoreTest, SaturatedRecordIsPinned)
 
 TEST(HashStoreTest, DropOnlyAffectsMatchingSlot)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0xffff, 1);
     store.insert(0xffff, 2);
     EXPECT_TRUE(store.dropReference(0xffff, 1));
@@ -108,7 +115,8 @@ TEST(HashStoreTest, DropOnlyAffectsMatchingSlot)
 
 TEST(HashStoreTest, ForEachVisitsEverything)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(1, 10);
     store.insert(2, 20);
     store.insert(2, 30);
@@ -119,7 +127,8 @@ TEST(HashStoreTest, ForEachVisitsEverything)
 
 TEST(HashStoreTest, LookupIsNewestFirst)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     for (LineAddr addr = 1; addr <= 4; ++addr)
         store.insert(0xabcd, addr);
     std::vector<LineAddr> walked;
@@ -133,7 +142,8 @@ TEST(HashStoreTest, LookupIsNewestFirst)
 
 TEST(HashStoreTest, EraseFromChainMiddleKeepsOrder)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     for (LineAddr addr = 1; addr <= 5; ++addr)
         store.insert(0x1111, addr);
 
@@ -151,7 +161,8 @@ TEST(HashStoreTest, FreedSlotJoinsAnotherChain)
 {
     // A slot holds one content at a time: once its record dies it can
     // be recorded under a different hash, and the old chain forgets it.
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     for (LineAddr addr = 1; addr <= 4; ++addr)
         store.insert(0xaa, addr);
     for (LineAddr addr = 1; addr <= 4; ++addr)
@@ -168,7 +179,8 @@ TEST(HashStoreTest, FreedSlotJoinsAnotherChain)
 
 TEST(HashStoreTest, ReferencesTrackedPerEntryInLongChain)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     for (LineAddr addr = 1; addr <= 4; ++addr)
         store.insert(0xcc, addr);
     for (int i = 0; i < 3; ++i)
@@ -183,7 +195,8 @@ TEST(HashStoreTest, ReferencesTrackedPerEntryInLongChain)
 
 TEST(HashStoreTest, ReferenceUnderAnotherHashIsAbsent)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0x10, 8);
     EXPECT_EQ(store.reference(0x10, 8), 1u);
     EXPECT_EQ(store.reference(0x20, 8), 0u);
@@ -192,7 +205,8 @@ TEST(HashStoreTest, ReferenceUnderAnotherHashIsAbsent)
 
 TEST(HashStoreTest, StrongFingerprintIsDroppedWithTheRecord)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(0x30, 6);
     EXPECT_EQ(store.strongFpOf(0x30, 6), nullptr);
     store.setStrongFp(0x30, 6, StrongFp{ 1, 2 });
@@ -208,7 +222,8 @@ TEST(HashStoreTest, StrongFingerprintIsDroppedWithTheRecord)
 
 TEST(HashStoreTest, RestoreInstallsClampedCount)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.restore(0x77, 9, 42);
     EXPECT_EQ(store.reference(0x77, 9), 42u);
     store.restore(0x77, 10, 1000); // Above the cap: clamps to 255.
@@ -218,7 +233,8 @@ TEST(HashStoreTest, RestoreInstallsClampedCount)
 
 TEST(HashStoreTest, ForEachAscendingHashChainOrderWithin)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(300, 1);
     store.insert(5, 2);
     store.insert(300, 3);
@@ -303,7 +319,8 @@ TEST(HashStoreTest, PropertyAgainstMapOracle)
 
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         std::mt19937_64 rng(seed);
-        HashStore store;
+        SlotTable slots;
+    HashStore store(slots);
         Oracle oracle;
         std::map<LineAddr, std::uint64_t> slot_hash; // Live slots.
         std::uint64_t refusals = 0;
@@ -413,33 +430,38 @@ TEST(HashStoreTest, PropertyAgainstMapOracle)
 
 TEST(HashStoreDeathTest, DoubleInsertPanics)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(7, 7);
     EXPECT_DEATH(store.insert(7, 7), "duplicate insert");
 }
 
 TEST(HashStoreDeathTest, SlotInTwoChainsPanics)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(7, 7);
     EXPECT_DEATH(store.insert(8, 7), "duplicate insert");
 }
 
 TEST(HashStoreDeathTest, RestoreWithoutReferencesPanics)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     EXPECT_DEATH(store.restore(3, 3, 0), "no references");
 }
 
 TEST(HashStoreDeathTest, AddReferenceToAbsentPanics)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     EXPECT_DEATH(store.addReference(9, 9), "absent");
 }
 
 TEST(HashStoreDeathTest, DropReferenceFromAbsentPanics)
 {
-    HashStore store;
+    SlotTable slots;
+    HashStore store(slots);
     store.insert(5, 1);
     EXPECT_DEATH(store.dropReference(5, 99), "absent");
 }

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "common/crc32.hh"
 #include "common/rng.hh"
@@ -31,18 +33,15 @@ class MetadataAuditorTestPeer
 {
   public:
     static HashStore &hashStore(DedupEngine &e) { return e.hashStore_; }
-    static InvertedHashTable &invHash(DedupEngine &e)
-    {
-        return e.invHash_;
-    }
-    static AddressMappingTable &mapping(DedupEngine &e)
-    {
-        return e.mapping_;
-    }
+    static SlotTable &slots(DedupEngine &e) { return e.slots_; }
     static FreeSpaceTable &fsm(DedupEngine &e) { return e.fsm_; }
     static DenseAddrMap<std::uint64_t> &overflow(DedupEngine &e)
     {
         return e.overflow_;
+    }
+    static DenseAddrMap<std::uint64_t> &majors(DedupEngine &e)
+    {
+        return e.majors_;
     }
     static Line decryptStored(DedupEngine &e, LineAddr slot)
     {
@@ -159,7 +158,7 @@ TEST_F(MetadataAuditorTest, DanglingInvertedHashEntryIsNamed)
     populate();
     // A data slot appears out of nowhere: no hash-store record backs
     // its fingerprint (the "dangling inverted-hash entry" corruption).
-    MetadataAuditorTestPeer::invHash(engine_).setHash(3000, 0xabcdef);
+    MetadataAuditorTestPeer::slots(engine_).setHash(3000, 0xabcdef);
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
     EXPECT_EQ(violation->invariant,
@@ -174,8 +173,8 @@ TEST_F(MetadataAuditorTest, ReferenceCountMismatchIsNamed)
     // Slot 30's content is shared 8 ways; a spurious extra reference
     // makes the recorded count disagree with the mapping walk.
     const LineAddr slot = 30;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
-    const std::uint64_t hash = engine_.invertedHash().hash(slot);
+    ASSERT_TRUE(engine_.slots().holdsData(slot));
+    const std::uint64_t hash = engine_.slots().hash(slot);
     ASSERT_TRUE(MetadataAuditorTestPeer::hashStore(engine_)
                     .addReference(hash, slot));
     const auto violation = MetadataAuditor(engine_).check();
@@ -193,7 +192,7 @@ TEST_F(MetadataAuditorTest, DoubleHomedCounterIsNamed)
     // mapping entry. A stale overflow entry for it means the counter
     // is double-homed.
     const LineAddr slot = 10;
-    ASSERT_FALSE(engine_.mapping().isRemapped(slot));
+    ASSERT_FALSE(engine_.slots().isRemapped(slot));
     MetadataAuditorTestPeer::overflow(engine_)[slot] = 7;
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
@@ -223,7 +222,7 @@ TEST_F(MetadataAuditorTest, FsmDriftIsNamedBothDirections)
 
     // Data-but-free drift: the slot walk reports the same invariant.
     const LineAddr slot = 12;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
+    ASSERT_TRUE(engine_.slots().holdsData(slot));
     MetadataAuditorTestPeer::fsm(engine_).release(slot);
     EXPECT_EQ(expectViolation(), AuditInvariant::FsmMatchesDataSlots);
 }
@@ -232,7 +231,7 @@ TEST_F(MetadataAuditorTest, DanglingMappingIsNamed)
 {
     populate();
     // Logical 100 remapped to a slot that holds nothing.
-    MetadataAuditorTestPeer::mapping(engine_).remap(100, 3700);
+    MetadataAuditorTestPeer::slots(engine_).remap(100, 3700);
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
     EXPECT_EQ(violation->invariant,
@@ -248,8 +247,8 @@ TEST_F(MetadataAuditorTest, WrongStrongFingerprintIsNamed)
     // stored content: the two-tier detector would trust it and merge
     // distinct lines, so the auditor must call it out by name.
     const LineAddr slot = 30;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
-    const std::uint64_t hash = engine_.invertedHash().hash(slot);
+    ASSERT_TRUE(engine_.slots().holdsData(slot));
+    const std::uint64_t hash = engine_.slots().hash(slot);
     MetadataAuditorTestPeer::hashStore(engine_).setStrongFp(
         hash, slot, StrongFp{ 0xdeadbeefu, 0xfeedfaceu });
     const auto violation = MetadataAuditor(engine_).check();
@@ -267,8 +266,8 @@ TEST_F(MetadataAuditorTest, CorrectStrongFingerprintAuditsClean)
     // The honest cache — the fingerprint of what the slot really
     // stores — must not trip the new invariant.
     const LineAddr slot = 30;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
-    const std::uint64_t hash = engine_.invertedHash().hash(slot);
+    ASSERT_TRUE(engine_.slots().holdsData(slot));
+    const std::uint64_t hash = engine_.slots().hash(slot);
     MetadataAuditorTestPeer::hashStore(engine_).setStrongFp(
         hash, slot,
         strongFingerprint(
@@ -281,8 +280,8 @@ TEST_F(MetadataAuditorTest, FirstViolationIsDeterministic)
     populate();
     // Two independent corruptions: the report must pick the same one
     // every time (walk order, not hash-table luck).
-    MetadataAuditorTestPeer::invHash(engine_).setHash(3000, 0x111111);
-    MetadataAuditorTestPeer::invHash(engine_).setHash(3001, 0x222222);
+    MetadataAuditorTestPeer::slots(engine_).setHash(3000, 0x111111);
+    MetadataAuditorTestPeer::slots(engine_).setHash(3001, 0x222222);
     for (int i = 0; i < 3; ++i) {
         const auto violation = MetadataAuditor(engine_).check();
         ASSERT_TRUE(violation.has_value());
@@ -300,6 +299,177 @@ TEST_F(MetadataAuditorTest, RecoveryRebuildPassesAuditUnderEnv)
     EXPECT_FALSE(MetadataAuditor(engine_).check().has_value());
 }
 
+/**
+ * An engine with every optional piece of per-line state live: 2-bit
+ * minor counters (so majors exist), weak+strong detection (so strong
+ * fingerprints are cached) and a relocated shared line (so a counter
+ * spills to the overflow store).
+ */
+class CrashDamageTest : public ::testing::Test
+{
+  protected:
+    CrashDamageTest()
+        : device_(config()), cme_(AesKey{}),
+          metadata_(config(), device_, config().memory.numLines),
+          engine_(config(), device_, metadata_, cme_, options())
+    {
+        Rng rng(77);
+        const Line shared = Line::random(rng);
+        write(1, shared);
+        write(2, shared);
+        write(1, Line::random(rng)); // Slot 1 keeps line 2's data.
+        write(3, shared);            // A confirmation caches a strong fp.
+        for (int i = 0; i < 9; ++i)
+            write(5, Line::random(rng)); // Wraps slot 5's minor counter.
+        for (LineAddr addr = 10; addr < 40; ++addr)
+            write(addr, addr % 3 ? Line::random(rng) : shared);
+    }
+
+    static const SystemConfig &
+    config()
+    {
+        static SystemConfig instance = [] {
+            SystemConfig c;
+            c.memory.numLines = 1 << 10;
+            return c;
+        }();
+        return instance;
+    }
+
+    static DedupEngine::Options
+    options()
+    {
+        DedupEngine::Options o;
+        o.counterBits = 2;
+        o.detect = DetectPolicy::WeakStrong;
+        return o;
+    }
+
+    void
+    write(LineAddr addr, const Line &data)
+    {
+        const DetectOutcome det = engine_.detect(data, now_, true);
+        const WriteCommit commit = det.duplicate
+            ? engine_.commitDuplicate(addr, det, det.done)
+            : engine_.commitUnique(addr, data, det.hash, det.done,
+                                   det.done);
+        now_ = commit.done;
+    }
+
+    /** The first slot whose counter spilled to the overflow store. */
+    LineAddr
+    spilledSlot()
+    {
+        LineAddr spilled = kInvalidAddr;
+        MetadataAuditorTestPeer::overflow(engine_).forEachSorted(
+            [&](LineAddr slot, std::uint64_t) {
+                if (spilled == kInvalidAddr)
+                    spilled = slot;
+            });
+        return spilled;
+    }
+
+    NvmDevice device_;
+    CounterModeEngine cme_;
+    MetadataCache metadata_;
+    DedupEngine engine_;
+    Time now_ = 0;
+};
+
+/** Everything a crash must not touch, per line address. */
+struct DurableState
+{
+    std::vector<std::uint64_t> mapValues, invValues, counters;
+    std::vector<std::uint8_t> flags;
+    std::vector<std::pair<LineAddr, std::uint64_t>> overflow, majors;
+
+    bool operator==(const DurableState &) const = default;
+};
+
+constexpr std::uint8_t kDurableFlags =
+    SlotRecord::kRemapped | SlotRecord::kHoldsData | SlotRecord::kWritten |
+    SlotRecord::kHasOverflow | SlotRecord::kHasMajor;
+
+DurableState
+durableState(DedupEngine &engine)
+{
+    DurableState state;
+    for (LineAddr addr = 0; addr < 1024; ++addr) {
+        const SlotRecord rec = engine.slots().find(addr)
+                                   ? *engine.slots().find(addr)
+                                   : SlotRecord{};
+        state.mapValues.push_back(rec.mapValue);
+        state.invValues.push_back(rec.invValue);
+        state.flags.push_back(
+            static_cast<std::uint8_t>(rec.flags & kDurableFlags));
+        state.counters.push_back(engine.counterOf(addr));
+    }
+    MetadataAuditorTestPeer::overflow(engine).forEachSorted(
+        [&](LineAddr slot, std::uint64_t value) {
+            state.overflow.emplace_back(slot, value);
+        });
+    MetadataAuditorTestPeer::majors(engine).forEachSorted(
+        [&](LineAddr slot, std::uint64_t value) {
+            state.majors.emplace_back(slot, value);
+        });
+    return state;
+}
+
+TEST_F(CrashDamageTest, WipesOnlyTheHashStoreAndFsm)
+{
+    const DurableState before = durableState(engine_);
+    ASSERT_FALSE(before.overflow.empty());
+    ASSERT_FALSE(before.majors.empty());
+    bool any_strong = false;
+    for (LineAddr addr = 0; addr < 1024; ++addr) {
+        const SlotRecord *rec = engine_.slots().find(addr);
+        any_strong |= rec && rec->has(SlotRecord::kStrongValid);
+    }
+    ASSERT_TRUE(any_strong);
+    ASSERT_GT(engine_.hashStore().size(), 0u);
+
+    RecoveryManager recovery(engine_);
+    recovery.simulateCrashDamage();
+
+    // Mapping, inverted-hash, written and counter state: bit-identical.
+    EXPECT_TRUE(durableState(engine_) == before);
+    // Hash-store fields and the FSM: wiped.
+    for (LineAddr addr = 0; addr < 1024; ++addr) {
+        const SlotRecord *rec = engine_.slots().find(addr);
+        if (!rec)
+            continue;
+        EXPECT_EQ(rec->storeHash, 0u) << addr;
+        EXPECT_EQ(rec->older, 0u) << addr;
+        EXPECT_EQ(rec->reference, 0u) << addr;
+        EXPECT_FALSE(rec->has(SlotRecord::kStrongValid)) << addr;
+    }
+    EXPECT_EQ(engine_.hashStore().size(), 0u);
+    EXPECT_EQ(engine_.hashStore().distinctHashes(), 0u);
+    EXPECT_EQ(engine_.freeSpace().freeCount(),
+              engine_.freeSpace().capacity());
+
+    // The durable half is enough to rebuild a consistent engine.
+    recovery.rebuild();
+    EXPECT_FALSE(MetadataAuditor(engine_).check().has_value());
+    EXPECT_TRUE(durableState(engine_) == before);
+}
+
+TEST_F(CrashDamageTest, UnflaggedOverflowCounterIsNamed)
+{
+    // Both homes of the slot are taken, so the overflow entry is legal
+    // — but only while the record flags the spill; unflagged, the
+    // counter would read as 0 and a pad would repeat.
+    EXPECT_FALSE(MetadataAuditor(engine_).check().has_value());
+    const LineAddr slot = spilledSlot();
+    ASSERT_NE(slot, kInvalidAddr);
+    MetadataAuditorTestPeer::slots(engine_).ref(slot).clear(
+        SlotRecord::kHasOverflow);
+    const auto violation = MetadataAuditor(engine_).check();
+    ASSERT_TRUE(violation.has_value());
+    EXPECT_EQ(violation->invariant, AuditInvariant::CounterSingleHome);
+    EXPECT_EQ(violation->slot, slot);
+}
+
 TEST(MetadataAuditorDeathTest, EnforceNamesTheInvariant)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -310,7 +480,7 @@ TEST(MetadataAuditorDeathTest, EnforceNamesTheInvariant)
     MetadataCache metadata(config, device, config.memory.numLines);
     CounterModeEngine cme(key);
     DedupEngine engine(config, device, metadata, cme);
-    MetadataAuditorTestPeer::invHash(engine).setHash(5, 0xbeef);
+    MetadataAuditorTestPeer::slots(engine).setHash(5, 0xbeef);
     EXPECT_DEATH(MetadataAuditor(engine).enforce("test"),
                  "data-slot-has-hash-record");
 }

@@ -157,21 +157,21 @@ TEST_P(EngineInvariants, StructuralConsistencyAfterRandomWorkload)
     // inverted-hash entry matches the record's hash.
     engine.hashStore().forEach(
         [&](std::uint32_t hash, const HashEntry &entry) {
-            EXPECT_TRUE(engine.invertedHash().holdsData(entry.realAddr));
-            EXPECT_EQ(engine.invertedHash().hash(entry.realAddr), hash);
+            EXPECT_TRUE(engine.slots().holdsData(entry.realAddr));
+            EXPECT_EQ(engine.slots().hash(entry.realAddr), hash);
             EXPECT_FALSE(engine.freeSpace().isFree(entry.realAddr));
         });
 
     // Invariant 3: data-slot count agrees between the inverted hash
     // table and the hash store.
-    EXPECT_EQ(engine.invertedHash().dataSlots(),
+    EXPECT_EQ(engine.slots().dataSlots(),
               engine.hashStore().size());
 
     // Invariant 4: allocated slot count equals data slots (every
     // allocation holds live data once the write committed).
     EXPECT_EQ(engine.freeSpace().capacity() -
                   engine.freeSpace().freeCount(),
-              engine.invertedHash().dataSlots());
+              engine.slots().dataSlots());
 
     // Invariant 5: counter colocation overflow is bounded (tiny
     // relative to traffic; see DESIGN.md Section 5).
