@@ -2,7 +2,7 @@
  * @file
  * DenseLineStore — direct-indexed storage for 256 B line content.
  *
- * NvmDevice, TraceGen's reference image, and the cipher-image reducers
+ * NvmDevice, TraceGen's reference image, and the DCW reducer's cell image
  * all map LineAddr → Line. The addresses are bounded by SystemConfig
  * (data region plus a small metadata region above it), so a hash map
  * pays mixing, probing, and per-node allocation for a key that is

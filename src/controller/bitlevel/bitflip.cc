@@ -32,19 +32,19 @@ bitTechniqueName(BitTechnique technique)
 }
 
 std::unique_ptr<BitLevelReducer>
-makeReducer(BitTechnique technique, const CounterModeEngine &cme)
+makeReducer(BitTechnique technique)
 {
     switch (technique) {
       case BitTechnique::None:
-        return std::make_unique<NoneReducer>(cme);
+        return nullptr;
       case BitTechnique::Dcw:
-        return std::make_unique<DcwReducer>(cme);
+        return std::make_unique<DcwReducer>();
       case BitTechnique::Fnw:
-        return std::make_unique<FnwReducer>(cme);
+        return std::make_unique<FnwReducer>();
       case BitTechnique::Deuce:
-        return std::make_unique<DeuceReducer>(cme);
+        return std::make_unique<DeuceReducer>();
       case BitTechnique::Secret:
-        return std::make_unique<SecretReducer>(cme);
+        return std::make_unique<SecretReducer>();
     }
     panic("bad bit technique");
 }

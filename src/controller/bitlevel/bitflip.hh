@@ -7,11 +7,16 @@
  * writes) and compose with it: DeWrite handles duplicate lines, a
  * bit-level reducer handles the residual bit flips of unique lines.
  *
- * Each reducer maintains its own image of what the cells contain under
- * its scheme (FNW stores words inverted, DEUCE keeps stale-epoch
- * ciphertext in untouched words), decoupled from the device's
- * functional store, so flip counts are exact without entangling the
- * schemes' storage formats.
+ * Reducers do no cryptography: the controller encrypts each line once
+ * and hands the reducer that ciphertext with the plaintext and counter
+ * it came from. Each reducer maintains its own image of what the cells
+ * contain under its scheme (FNW stores words inverted, DEUCE keeps
+ * stale-epoch ciphertext in untouched words), decoupled from the
+ * device's functional store, so flip counts are exact without
+ * entangling the schemes' storage formats.
+ *
+ * BitTechnique::None builds no reducer: a full-line write programs
+ * every cell, so the controllers charge kLineBits themselves.
  */
 
 #ifndef DEWRITE_CONTROLLER_BITLEVEL_BITFLIP_HH
@@ -25,8 +30,6 @@
 #include "common/types.hh"
 
 namespace dewrite {
-
-class CounterModeEngine;
 
 /** Which bit-level technique a controller applies to unique writes. */
 enum class BitTechnique
@@ -52,10 +55,12 @@ class BitLevelReducer
 
     /**
      * Accounts the write of plaintext @p new_pt to slot @p slot whose
-     * counter-mode counter is now @p counter.
+     * counter-mode counter is now @p counter; @p new_ct is the
+     * controller's ciphertext of @p new_pt under that counter.
      * @return the number of cell bits programmed.
      */
     virtual std::size_t onWrite(LineAddr slot, const Line &new_pt,
+                                const Line &new_ct,
                                 std::uint64_t counter) = 0;
 
     virtual BitTechnique technique() const = 0;
@@ -63,17 +68,13 @@ class BitLevelReducer
     /**
      * Sizing hint: expected distinct slots the reducer will track,
      * passed down at controller construction so per-slot state never
-     * rehashes mid-run. Stateless reducers ignore it.
+     * rehashes mid-run.
      */
-    virtual void reserveSlots(std::uint64_t /*expected*/) {}
+    virtual void reserveSlots(std::uint64_t expected) = 0;
 };
 
-/**
- * Builds a reducer. @p cme supplies the pads that turn plaintext into
- * the cell image (all Figure 13 techniques operate on encrypted NVMM).
- */
-std::unique_ptr<BitLevelReducer> makeReducer(BitTechnique technique,
-                                             const CounterModeEngine &cme);
+/** Builds a reducer; null for BitTechnique::None. */
+std::unique_ptr<BitLevelReducer> makeReducer(BitTechnique technique);
 
 } // namespace dewrite
 

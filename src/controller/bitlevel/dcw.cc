@@ -1,37 +1,20 @@
 /**
  * @file
- * NoneReducer and DcwReducer implementation.
+ * DcwReducer implementation.
  */
 
 #include "controller/bitlevel/dcw.hh"
 
 namespace dewrite {
 
-namespace {
-const Line kZeroLine;
-}
-
-const Line &
-CipherImageReducer::image(LineAddr slot) const
-{
-    const Line *stored = images_.find(slot);
-    return stored ? *stored : kZeroLine; // Unwritten cells read as zero.
-}
-
 std::size_t
-NoneReducer::onWrite(LineAddr slot, const Line &new_pt,
-                     std::uint64_t counter)
+DcwReducer::onWrite(LineAddr slot, const Line & /*new_pt*/,
+                    const Line &new_ct, std::uint64_t /*counter*/)
 {
-    setImage(slot, cme_.encryptLine(new_pt, slot, counter));
-    return kLineBits;
-}
-
-std::size_t
-DcwReducer::onWrite(LineAddr slot, const Line &new_pt, std::uint64_t counter)
-{
-    const Line new_ct = cme_.encryptLine(new_pt, slot, counter);
-    const std::size_t flips = image(slot).bitDistance(new_ct);
-    setImage(slot, new_ct);
+    // A first write lands on a zeroed slot: fresh PCM cells read zero.
+    Line &image = images_.refForWrite(slot);
+    const std::size_t flips = image.bitDistance(new_ct);
+    image = new_ct;
     return flips;
 }
 

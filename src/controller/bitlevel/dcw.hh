@@ -1,6 +1,6 @@
 /**
  * @file
- * Full-line and Data-Comparison-Write reducers.
+ * Data-Comparison-Write reducer.
  *
  * DCW [Yang et al.] reads the old cell contents before a write and
  * programs only the cells whose value changes. On encrypted NVMM the
@@ -13,63 +13,26 @@
 
 #include "common/dense_line_store.hh"
 #include "controller/bitlevel/bitflip.hh"
-#include "crypto/counter_mode.hh"
 
 namespace dewrite {
 
-/** Shared cell-image tracking for the ciphertext-image reducers. */
-class CipherImageReducer : public BitLevelReducer
+/** DCW: program only the differing cells. */
+class DcwReducer : public BitLevelReducer
 {
   public:
+    std::size_t onWrite(LineAddr slot, const Line &new_pt,
+                        const Line &new_ct,
+                        std::uint64_t counter) override;
+
+    BitTechnique technique() const override { return BitTechnique::Dcw; }
+
     void reserveSlots(std::uint64_t expected) override
     {
         images_.reserve(expected);
     }
 
-  protected:
-    explicit CipherImageReducer(const CounterModeEngine &cme) : cme_(cme) {}
-
-    /** Cell image of @p slot (zeros if never written — fresh PCM). */
-    const Line &image(LineAddr slot) const;
-
-    void
-    setImage(LineAddr slot, const Line &image)
-    {
-        images_.refForWrite(slot) = image;
-    }
-
-    const CounterModeEngine &cme_;
-
   private:
-    DenseLineStore images_;
-};
-
-/** Baseline: every cell of the line is programmed on every write. */
-class NoneReducer : public CipherImageReducer
-{
-  public:
-    explicit NoneReducer(const CounterModeEngine &cme)
-        : CipherImageReducer(cme)
-    {}
-
-    std::size_t onWrite(LineAddr slot, const Line &new_pt,
-                        std::uint64_t counter) override;
-
-    BitTechnique technique() const override { return BitTechnique::None; }
-};
-
-/** DCW: program only the differing cells. */
-class DcwReducer : public CipherImageReducer
-{
-  public:
-    explicit DcwReducer(const CounterModeEngine &cme)
-        : CipherImageReducer(cme)
-    {}
-
-    std::size_t onWrite(LineAddr slot, const Line &new_pt,
-                        std::uint64_t counter) override;
-
-    BitTechnique technique() const override { return BitTechnique::Dcw; }
+    DenseLineStore images_; //!< Stored ciphertext per slot.
 };
 
 } // namespace dewrite

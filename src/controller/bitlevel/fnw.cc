@@ -10,10 +10,10 @@
 namespace dewrite {
 
 std::size_t
-FnwReducer::onWrite(LineAddr slot, const Line &new_pt, std::uint64_t counter)
+FnwReducer::onWrite(LineAddr slot, const Line & /*new_pt*/,
+                    const Line &new_ct, std::uint64_t /*counter*/)
 {
     SlotState &st = state_.ref(slot);
-    const Line new_ct = cme_.encryptLine(new_pt, slot, counter);
 
     std::size_t flips = 0;
     for (std::size_t w = 0; w < kWordsPerLine; ++w) {

@@ -16,16 +16,14 @@
 
 #include "common/paged_array.hh"
 #include "controller/bitlevel/bitflip.hh"
-#include "crypto/counter_mode.hh"
 
 namespace dewrite {
 
 class FnwReducer : public BitLevelReducer
 {
   public:
-    explicit FnwReducer(const CounterModeEngine &cme) : cme_(cme) {}
-
     std::size_t onWrite(LineAddr slot, const Line &new_pt,
+                        const Line &new_ct,
                         std::uint64_t counter) override;
 
     BitTechnique technique() const override { return BitTechnique::Fnw; }
@@ -45,7 +43,6 @@ class FnwReducer : public BitLevelReducer
         std::bitset<kWordsPerLine> flags;  //!< Word stored inverted.
     };
 
-    const CounterModeEngine &cme_;
     PagedArray<SlotState, 1024> state_;
 };
 

@@ -32,9 +32,7 @@ DeWriteController::DeWriteController(const SystemConfig &config,
                                      Options options)
     : config_(config), device_(device), cme_(key),
       metadata_(config, device, /*region_base=*/config.memory.numLines),
-      reducer_(options.technique == BitTechnique::None
-                   ? nullptr
-                   : makeReducer(options.technique, cme_)),
+      reducer_(makeReducer(options.technique)),
       engine_(config, device, metadata_, cme_,
               DedupEngine::Options{ options.detect, reducer_.get(),
                                     /*maxChainProbe=*/4,

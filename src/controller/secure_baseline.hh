@@ -3,9 +3,10 @@
  * The traditional secure-NVM controller (the paper's baseline).
  *
  * Counter-mode encryption with an on-chip counter cache and no
- * deduplication: every write bumps the line's counter, encrypts, and
- * programs the line; every read fetches the counter (OTP generation
- * overlaps the array read on a counter-cache hit) and XORs.
+ * deduplication: every write bumps the line's counter, encrypts once
+ * (one pad, one stored ciphertext), and programs the line; every read
+ * fetches the counter (OTP generation overlaps the array read on a
+ * counter-cache hit) and XORs.
  *
  * Options compose the Figure 13 comparison points: a bit-level
  * reduction technique for the cells actually programmed, and Silent
@@ -70,8 +71,8 @@ class SecureBaselineController : public MemController
     std::unique_ptr<BitLevelReducer> reducer_;
     ZeroLineDirectory zeros_;
 
+    /** Per-line write counters; non-zero iff the line was written. */
     PagedArray<std::uint64_t> counters_;
-    DenseAddrSet written_;
     PadCache padCache_;
     Energy aesEnergy_ = 0;
 };

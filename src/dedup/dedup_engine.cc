@@ -720,7 +720,7 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
 
     const Line ciphertext = plaintext ^ padFor(slot, counter);
     const std::size_t bits = options_.reducer
-        ? options_.reducer->onWrite(slot, plaintext, counter)
+        ? options_.reducer->onWrite(slot, plaintext, ciphertext, counter)
         : kLineBits;
     const Time write_start = std::max(t, ciphertext_ready);
     NvmTiming write;

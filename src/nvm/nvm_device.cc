@@ -80,17 +80,6 @@ NvmDevice::write(LineAddr addr, const Line &data, Time now,
 }
 
 void
-NvmDevice::writeBackground(LineAddr addr, const Line &data,
-                           std::size_t bits_written)
-{
-    numWrites_.increment();
-    numBackgroundWrites_.increment();
-    energy_ += config_.energy.nvmWritePerBit * bits_written;
-    wear_.recordWrite(addr, bits_written);
-    store_.refForWrite(addr) = data;
-}
-
-void
 NvmDevice::writeBackgroundZero(LineAddr addr, std::size_t bits_written)
 {
     numWrites_.increment();

@@ -86,23 +86,17 @@ class NvmDevice
                     std::size_t bits_written = kLineBits);
 
     /**
-     * Background write: a lazily scheduled update (metadata writeback
-     * from a battery-backed cache) that the controller slots into idle
-     * bank cycles. Energy, wear, and the write count are charged, but
-     * the write does not delay demand traffic; the count is reported
-     * so saturation of the idle bandwidth can be audited.
-     */
-    void writeBackground(LineAddr addr, const Line &data,
-                         std::size_t bits_written = kLineBits);
-
-    /**
-     * writeBackground() of the all-zero line, with the 256 B store
-     * elided: accounting (write count, energy, wear) is identical and
-     * the address is still marked written, but no content is copied.
-     * The caller guarantees the stored line is already zero (fresh or
-     * only ever zero-written; debug-checked). The metadata and counter
-     * caches write back through this — their simulated region holds no
-     * functional content, so the zero line is exact.
+     * Background write of the all-zero line: a lazily scheduled update
+     * (metadata writeback from a battery-backed cache) that the
+     * controller slots into idle bank cycles. Energy, wear, and the
+     * write count are charged, but the write does not delay demand
+     * traffic; the count is reported so saturation of the idle
+     * bandwidth can be audited. No content is stored and the address
+     * is not marked written (isWritten() stays as it was), except in
+     * checked builds, which materialize the line to verify it is still
+     * zero. The metadata and counter caches write back through this —
+     * their simulated region holds no functional content, so the zero
+     * line is exact.
      */
     void writeBackgroundZero(LineAddr addr,
                              std::size_t bits_written = kLineBits);

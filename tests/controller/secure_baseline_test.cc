@@ -154,6 +154,42 @@ TEST(SecureBaselineTest, ReadOfUnwrittenIsInvalid)
     EXPECT_FALSE(read.valid);
 }
 
+TEST(SecureBaselineTest, LineIsValidOnceWritten)
+{
+    NvmDevice device(config());
+    SecureBaselineController ctrl(config(), device, key());
+    EXPECT_FALSE(ctrl.read(40, 0).valid);
+    EXPECT_FALSE(ctrl.readTiming(40, 0).valid);
+
+    Rng rng(105);
+    const Line data = Line::random(rng);
+    ctrl.write(40, data, 0);
+    const CtrlReadResult read = ctrl.read(40, 0);
+    EXPECT_TRUE(read.valid);
+    EXPECT_EQ(read.data, data);
+    EXPECT_TRUE(ctrl.readTiming(40, 0).valid);
+    // The neighbour shares the written line's counter page but was
+    // never written itself.
+    EXPECT_FALSE(ctrl.read(41, 0).valid);
+}
+
+TEST(SecureBaselineTest, ShreddedZeroLineStaysValid)
+{
+    NvmDevice device(config());
+    SecureBaselineController::Options options;
+    options.shredZeroLines = true;
+    SecureBaselineController ctrl(config(), device, key(), options);
+    EXPECT_FALSE(ctrl.read(7, 0).valid);
+
+    Rng rng(106);
+    ctrl.write(7, Line::random(rng), 0);
+    ctrl.write(7, Line(), 0);
+    const CtrlReadResult read = ctrl.read(7, 0);
+    EXPECT_TRUE(read.valid);
+    EXPECT_TRUE(read.data.isZero());
+    EXPECT_FALSE(ctrl.read(8, 0).valid);
+}
+
 TEST(SecureBaselineTest, EnergyGrowsWithTraffic)
 {
     NvmDevice device(config());

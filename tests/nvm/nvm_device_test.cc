@@ -197,17 +197,30 @@ TEST(NvmDeviceTest, BackgroundWriteChargesEverythingButBankTime)
 {
     SystemConfig config = smallConfig();
     NvmDevice device(config);
-    device.writeBackground(5, Line::filled(7), 128);
+    device.writeBackgroundZero(5, 128);
 
     EXPECT_EQ(device.numWrites(), 1u);
     EXPECT_EQ(device.numBackgroundWrites(), 1u);
     EXPECT_EQ(device.totalEnergy(), 128 * config.energy.nvmWritePerBit);
     EXPECT_EQ(device.wear().lineWrites(5), 1u);
-    EXPECT_EQ(device.peek(5), Line::filled(7));
+    EXPECT_EQ(device.wear().totalBitsWritten(), 128u);
+    EXPECT_TRUE(device.peek(5).isZero());
     // No bank was occupied: a read to the same bank starts at once.
     const NvmAccess read = device.read(5, 0);
     EXPECT_EQ(read.queueDelay, 0u);
 }
+
+#if !defined(NDEBUG) || defined(DEWRITE_FORCE_DCHECKS)
+TEST(NvmDeviceDeathTest, BackgroundZeroOverDataDies)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    SystemConfig config = smallConfig();
+    NvmDevice device(config);
+    device.write(5, Line::filled(7), 0);
+    EXPECT_DEATH(device.writeBackgroundZero(5),
+                 "writeBackgroundZero over non-zero line 5");
+}
+#endif
 
 TEST(WearTrackerTest, RelativeLifetimeScalesInversely)
 {

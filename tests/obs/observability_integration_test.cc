@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "obs/stage_profile.hh"
 #include "obs/trace_export.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -53,6 +54,21 @@ TEST(SystemRegistryTest, CanonicalPathsTrackLiveCounters)
               static_cast<double>(system.device().numWrites()));
     EXPECT_EQ(registry.find("system.sim_picoseconds")->read(),
               static_cast<double>(system.now()));
+}
+
+TEST(SystemRegistryTest, StageGaugesAbsentByDefault)
+{
+    // The profiled counterpart is test_stage_profile, which CTest runs
+    // with DEWRITE_STAGE_PROFILE=1.
+    ASSERT_FALSE(obs::stageProfileEnabled())
+        << "run without DEWRITE_STAGE_PROFILE";
+    const SystemConfig config = smallConfig();
+    System system(config, dewriteScheme(DedupMode::Predicted));
+    for (int i = 0; i < 8; ++i)
+        system.write(i, Line::filled(static_cast<std::uint8_t>(i % 3)));
+    for (const obs::MetricSample &sample : system.registry().snapshot())
+        EXPECT_NE(sample.path.rfind("controller.dedup.stage.", 0), 0u)
+            << sample.path;
 }
 
 TEST(SystemRegistryTest, LegacyViewMatchesFillStats)
