@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 namespace dewrite {
@@ -103,6 +104,50 @@ TEST(RngTest, ZipfIsSkewedTowardLowRanks)
         low += rng.nextZipf(1000, 0.9) < 100;
     // Under a uniform law 'low' would be ~10%; Zipf concentrates mass.
     EXPECT_GT(low, n / 3);
+}
+
+TEST(RngTest, PinnedDraws)
+{
+    // The workload generators' event streams are pure functions of
+    // these draws, so every sampler's output for a fixed seed is pinned
+    // here: any change to the arithmetic or to how many raw outputs a
+    // sampler consumes shows up as a literal mismatch.
+    Rng rng(2024);
+    const std::uint64_t raw[] = { 0x0e48715a13d7772eULL,
+                                  0xc837f3ee8a7a1065ULL,
+                                  0x1272314b15ee5001ULL,
+                                  0x28e323a6abe2a46bULL };
+    for (std::uint64_t expected : raw)
+        EXPECT_EQ(rng.next64(), expected);
+    for (std::uint64_t expected : { 773u, 244u, 394u, 257u, 556u, 50u })
+        EXPECT_EQ(rng.nextBelow(1000), expected);
+    for (double expected : { 0x1.70d10a113e7p-1, 0x1.dd0ba45c1132dp-1,
+                             0x1.c395260b2f446p-1, 0x1.771dd902299c6p-2 })
+        EXPECT_EQ(rng.nextDouble(), expected);
+    for (bool expected : { false, true, true, false, false, false, false,
+                           false, true, false, false, true })
+        EXPECT_EQ(rng.chance(0.3), expected);
+    for (std::uint64_t expected : { 68u, 142u, 67u, 53u, 3u, 68u })
+        EXPECT_EQ(rng.nextExponential(100.0), expected);
+
+    // Zipf draws alternate two thetas while n grows, repeat one (a memo
+    // hit), and every fourth n add theta = 1 (the log/exp branch), which
+    // evicts one of the two memo entries.
+    const std::uint64_t zipf[] = {
+        1,   4,   49,  72,  2,   50,  6,   137, 105, 17,  2,   27,  14,
+        24,  144, 17,  188, 69,  21,  40,  2,   124, 129, 30,  159, 28,
+        159, 1,   5,   1,   149, 344, 337, 225, 7,   330, 294, 62,  1,
+    };
+    std::vector<std::uint64_t> drawn;
+    for (std::uint64_t n = 2; n < 14; ++n) {
+        drawn.push_back(rng.nextZipf(n * 37, 0.7));
+        drawn.push_back(rng.nextZipf(n * 37, 0.35));
+        drawn.push_back(rng.nextZipf(n * 37, 0.7));
+        if (n % 4 == 0)
+            drawn.push_back(rng.nextZipf(n * 37, 1.0));
+    }
+    EXPECT_EQ(drawn, std::vector<std::uint64_t>(std::begin(zipf),
+                                                std::end(zipf)));
 }
 
 TEST(RngTest, ZipfDegenerateBounds)

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "trace/app_catalog.hh"
 #include "trace/workload_stats.hh"
 
 namespace dewrite {
@@ -47,6 +51,55 @@ TEST(SyntheticWorkloadTest, Deterministic)
             EXPECT_EQ(ea.data, eb.data);
         }
     }
+}
+
+/**
+ * FNV-1a hash of the first @p events events of @p app run as 4
+ * instances sharing one SharedPhase (the experiment's multi-core
+ * layout), pulled round-robin. Each event contributes its address,
+ * kind, instruction gap and all 32 data words.
+ */
+std::uint64_t
+catalogStreamHash(const std::string &app, int events)
+{
+    const AppProfile &profile = appByName(app);
+    auto phase = std::make_shared<SharedPhase>();
+    std::vector<std::unique_ptr<SyntheticWorkload>> instances;
+    for (unsigned core = 0; core < 4; ++core) {
+        instances.push_back(std::make_unique<SyntheticWorkload>(
+            profile, 100 + core,
+            static_cast<LineAddr>(core) * profile.workingSetLines * 2,
+            phase));
+    }
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (value >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (int i = 0; i < events; ++i) {
+        MemEvent event;
+        EXPECT_TRUE(instances[i % 4]->next(event));
+        mix(event.addr);
+        mix(event.isWrite);
+        mix(event.instGap);
+        for (std::size_t word = 0; word < kLineSize / 8; ++word)
+            mix(event.data.word64(word));
+    }
+    return hash;
+}
+
+TEST(SyntheticWorkloadTest, PinnedCatalogStreams)
+{
+    // Pins the generator's output bit for bit (Deterministic only
+    // compares two instances of the same code). The apps span the
+    // zero-dominated (sjeng), high-dup (lbm), lowest-dup (vips) and a
+    // large-working-set low-dup (canneal) profile.
+    EXPECT_EQ(catalogStreamHash("sjeng", 40000), 0x6c8077ac45426d48ULL);
+    EXPECT_EQ(catalogStreamHash("lbm", 40000), 0xcb30f11c7e16b711ULL);
+    EXPECT_EQ(catalogStreamHash("vips", 40000), 0xda5a9b7c977b42bcULL);
+    EXPECT_EQ(catalogStreamHash("canneal", 40000), 0x41f14bda2050263cULL);
 }
 
 TEST(SyntheticWorkloadTest, SeedsDiverge)
