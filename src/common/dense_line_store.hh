@@ -88,13 +88,17 @@ class DenseLineStore
     /**
      * Writable slot for @p addr, allocating its page on demand and
      * marking the address written. The caller overwrites the full line.
+     * If @p first_write is given, it is set to whether @p addr was
+     * unwritten before this call.
      */
     Line &
-    refForWrite(LineAddr addr)
+    refForWrite(LineAddr addr, bool *first_write = nullptr)
     {
         if (addr >= kMaxDirectLines) {
             auto [line, inserted] = overflow_.tryEmplace(addr);
             writtenCount_ += inserted ? 1 : 0;
+            if (first_write)
+                *first_write = inserted;
             return *line;
         }
         const std::size_t page = addr / kPageLines;
@@ -107,7 +111,10 @@ class DenseLineStore
         if (!pages_[page])
             pages_[page] = makeHuge<PageLines>();
         const std::size_t slot = addr % kPageLines;
-        writtenCount_ += markWritten(page, slot) ? 1 : 0;
+        const bool fresh = markWritten(page, slot);
+        writtenCount_ += fresh ? 1 : 0;
+        if (first_write)
+            *first_write = fresh;
         return (*pages_[page])[slot];
     }
 

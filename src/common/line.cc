@@ -25,9 +25,15 @@ Line
 Line::random(Rng &rng)
 {
     Line line;
-    for (std::size_t i = 0; i < kLineSize / 8; ++i)
-        line.setWord64(i, rng.next64());
+    line.fillRandom(rng);
     return line;
+}
+
+void
+Line::fillRandom(Rng &rng)
+{
+    for (std::size_t i = 0; i < kLineSize / 8; ++i)
+        setWord64(i, rng.next64());
 }
 
 Line

@@ -53,6 +53,12 @@ class Line
     static Line random(Rng &rng);
 
     /**
+     * Overwrites every word with random content from @p rng, drawing
+     * exactly as random() does, so a caller can fill a line in place.
+     */
+    void fillRandom(Rng &rng);
+
+    /**
      * Constructs a line holding a 64-bit pattern repeated across the line.
      * Useful for tests and for synthesizing "popular" duplicate contents.
      */

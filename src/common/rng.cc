@@ -20,12 +20,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -35,68 +29,9 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(sm);
 }
 
-std::uint64_t
-Rng::next64()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    // Debiased multiply-shift (Lemire); the bias without rejection is
-    // negligible for workload generation, so we keep the fast path only.
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(next64()) * bound;
-    return static_cast<std::uint64_t>(product >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
-std::uint64_t
-Rng::nextExponential(double mean)
-{
-    if (mean <= 0.0)
-        return 0;
-    double u = nextDouble();
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    const double sample = -mean * std::log(u);
-    return static_cast<std::uint64_t>(sample);
-}
-
 const Rng::ZipfTerms &
 Rng::zipfTerms(std::uint64_t n, double theta)
 {
-    for (const ZipfTerms &entry : zipf_) {
-        if (entry.valid && entry.n == n && entry.theta == theta)
-            return entry;
-    }
     ZipfTerms &entry = zipf_[zipfVictim_];
     zipfVictim_ ^= 1;
     entry.n = n;
@@ -110,28 +45,7 @@ Rng::zipfTerms(std::uint64_t n, double theta)
         entry.top = std::pow(static_cast<double>(n) + 1.0, one_minus);
         entry.invExp = 1.0 / one_minus;
     }
-    entry.valid = true;
     return entry;
-}
-
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double theta)
-{
-    if (n <= 1)
-        return 0;
-    // Continuous bounded-Pareto inversion: a fast O(1) approximation of
-    // the discrete Zipf CDF, more than adequate for shaping content
-    // popularity in synthetic workloads.
-    const double u = nextDouble();
-    const ZipfTerms &terms = zipfTerms(n, theta);
-    double x;
-    if (terms.thetaOne) {
-        x = std::exp(u * terms.top);
-    } else {
-        x = std::pow(u * (terms.top - 1.0) + 1.0, terms.invExp);
-    }
-    auto rank = static_cast<std::uint64_t>(x) - 1;
-    return rank >= n ? n - 1 : rank;
 }
 
 } // namespace dewrite

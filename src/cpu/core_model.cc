@@ -74,19 +74,10 @@ CoreModel::flush(BatchFormer::FlushReason reason)
         }
         telemetry_->recordBatchCommit(last_commit - first_issue);
     }
-    // A write leaves its queue only right after a flush, so every
-    // entry outside the live window is already resolved and the whole
-    // ring can be scanned.
-    for (CoreState &core : cores_) {
-        for (StoreEntry &entry : core.queue) {
-            if (entry.batchSlot >= 0) {
-                if (responses_[entry.batchSlot].eliminated)
-                    ++totals_.writesEliminated;
-                entry.complete = former_.slotNow(entry.batchSlot) +
-                                 responses_[entry.batchSlot].latency;
-                entry.batchSlot = -1;
-            }
-        }
+    for (std::size_t s = 0; s < flushed; ++s) {
+        if (responses_[s].eliminated)
+            ++totals_.writesEliminated;
+        *staged_[s] = former_.slotNow(s) + responses_[s].latency;
     }
 }
 
@@ -109,7 +100,7 @@ CoreModel::issue(CoreState &core, const MemEvent &event)
             tail -= depth_;
         const std::size_t slot =
             former_.stage(event.addr, event.data, core.now);
-        core.queue[tail] = { 0, static_cast<std::int32_t>(slot) };
+        staged_[slot] = &core.queue[tail];
         ++core.inFlight;
         ++totals_.writes;
 
@@ -120,7 +111,7 @@ CoreModel::issue(CoreState &core, const MemEvent &event)
         }
         if (core.inFlight == depth_) {
             // Full queue: the core waits for the oldest write.
-            core.now = std::max(core.now, core.queue[core.head].complete);
+            core.now = std::max(core.now, core.queue[core.head]);
             core.head = core.head + 1 == depth_ ? 0 : core.head + 1;
             --core.inFlight;
         }

@@ -132,23 +132,17 @@ class CoreModel
 
   private:
     /**
-     * One in-flight write completion. While the write sits in the
-     * current unflushed batch its completion time is unknown and
-     * @c batchSlot names its staging slot; flushing resolves it.
+     * One core's clock and persist store queue. Each ring entry is an
+     * in-flight write's completion time; while the write sits in the
+     * unflushed batch its entry is unresolved and staged_ points at
+     * it from the write's batch slot.
      */
-    struct StoreEntry
-    {
-        Time complete = 0;
-        std::int32_t batchSlot = -1; //!< -1: resolved.
-    };
-
-    /** One core's clock and persist store queue. */
     struct CoreState
     {
         Time now = 0;
         std::size_t head = 0;     //!< Oldest in-flight write.
         std::size_t inFlight = 0; //!< Writes in the queue.
-        std::vector<StoreEntry> queue; //!< Ring of depth_ entries.
+        std::vector<Time> queue;  //!< Ring of depth_ completion times.
     };
 
     /** Resets @p cores cores to a fresh clock behind @p controller. */
@@ -157,7 +151,10 @@ class CoreModel
     /** Issues @p event on @p core: the one per-event timing step. */
     void issue(CoreState &core, const MemEvent &event);
 
-    /** Flushes the staged batch and resolves every queued write. */
+    /**
+     * Flushes the staged batch and resolves the store-queue entry of
+     * each flushed write, through staged_, to its completion time.
+     */
     void flush(BatchFormer::FlushReason reason);
 
     const TimingConfig timing_;
@@ -169,6 +166,12 @@ class CoreModel
     /** Core-side counters summed over cores; memory-side fields 0. */
     RunResult totals_;
     std::array<CtrlWriteResult, kMaxWriteBatch> responses_;
+    /**
+     * Store-queue entry of each batch slot's write. A ring entry is
+     * reused only after the write in it has been flushed, so each
+     * pointer stays valid until the flush that resolves it.
+     */
+    std::array<Time *, kMaxWriteBatch> staged_{};
 };
 
 } // namespace dewrite

@@ -77,18 +77,18 @@ SyntheticWorkload::chooseWriteAddr()
     return addrBase_ + nextFreshAddr_++;
 }
 
-Line
-SyntheticWorkload::makeUniqueContent(LineAddr addr)
+void
+SyntheticWorkload::makeUniqueContent(LineAddr addr, Line &content)
 {
     // A unique write either initializes fresh memory (sparse content:
     // mostly-zero with a few live words, as allocators and memset-like
     // initialization produce) or overwrites dense in-use data. Either
     // way a monotonically increasing stamp guarantees the content never
     // matches any line in memory.
-    Line content;
     if (rng_.chance(0.5)) {
-        content = Line::random(rng_);
+        content.fillRandom(rng_);
     } else {
+        content = Line();
         const unsigned live = 1 + static_cast<unsigned>(rng_.nextBelow(6));
         for (unsigned i = 0; i < live; ++i) {
             content.setWord64(rng_.nextBelow(kLineSize / 8),
@@ -97,7 +97,6 @@ SyntheticWorkload::makeUniqueContent(LineAddr addr)
     }
     content.setWord64(0, ++uniqueStamp_);
     content.setWord64(1, addr * 0x9e3779b97f4a7c15ULL);
-    return content;
 }
 
 bool
@@ -134,7 +133,11 @@ SyntheticWorkload::next(MemEvent &event)
         dup = false;
     }
 
+    // The target's image slot is looked up once and overwritten with
+    // the event's content at the end.
     event.isWrite = true;
+    bool first_write = false;
+    Line *target;
     if (dup) {
         if (rng_.chance(profile_.zeroGivenDup)) {
             event.data = Line();
@@ -142,25 +145,28 @@ SyntheticWorkload::next(MemEvent &event)
             // Copy a live non-zero content; retrying on zeros keeps
             // zeroGivenDup the sole control of the zero-line share
             // (zeros would otherwise snowball through resampling).
-            event.data =
-                *image_.find(sampleWrittenAddr(profile_.popularityTheta));
-            for (int retry = 0; retry < 4 && event.data.isZero();
-                 ++retry) {
-                event.data = *image_.find(
+            // Candidates are tested in place; only the chosen one is
+            // copied.
+            const Line *source =
+                image_.find(sampleWrittenAddr(profile_.popularityTheta));
+            for (int retry = 0; retry < 4 && source->isZero(); ++retry) {
+                source = image_.find(
                     sampleWrittenAddr(profile_.popularityTheta));
             }
+            event.data = *source;
         }
         event.addr = chooseWriteAddr();
+        target = &image_.refForWrite(event.addr, &first_write);
     } else {
         event.addr = chooseWriteAddr();
-        const Line *existing = image_.find(event.addr);
-        if (existing && rng_.chance(profile_.rewriteFraction)) {
+        target = &image_.refForWrite(event.addr, &first_write);
+        if (!first_write && rng_.chance(profile_.rewriteFraction)) {
             // Word-sparse rewrite of live data — the access pattern
             // DEUCE's partial re-encryption exploits. A line's hot
             // words are fixed per address (the same counter/pointer
             // fields change on every rewrite), so the modified set a
             // DEUCE epoch accumulates stays small.
-            event.data = *existing;
+            event.data = *target;
             const unsigned words =
                 1 + static_cast<unsigned>(event.addr %
                                           profile_.mutateWordsMax);
@@ -172,15 +178,15 @@ SyntheticWorkload::next(MemEvent &event)
             }
             event.data.setWord64(2, ++uniqueStamp_);
         } else {
-            event.data = makeUniqueContent(event.addr);
+            makeUniqueContent(event.addr, event.data);
         }
     }
+    *target = event.data;
 
-    if (!image_.isWritten(event.addr))
+    if (first_write)
         // dewrite-analyze: allow(hot-path-purity) workload synthesis is setup/driver
         // code; the hot edge is a member-name over-approximation
         writtenAddrs_.push_back(event.addr);
-    image_.refForWrite(event.addr) = event.data;
     if (dup)
         dupWritten_.insert(event.addr);
     else
@@ -208,7 +214,7 @@ WorstCaseWorkload::next(MemEvent &event)
 
     if (writePhase_) {
         event.isWrite = true;
-        event.data = Line::random(rng_);
+        event.data.fillRandom(rng_);
         event.data.setWord64(0, ++stamp_); // Never a duplicate.
     } else {
         event.isWrite = false;

@@ -96,8 +96,11 @@ class SyntheticWorkload : public TraceSource
     /** Chooses the target address of a write (fresh or rewrite). */
     LineAddr chooseWriteAddr();
 
-    /** Produces fresh content guaranteed unique across the run. */
-    Line makeUniqueContent(LineAddr addr);
+    /**
+     * Overwrites @p content with fresh content guaranteed unique
+     * across the run.
+     */
+    void makeUniqueContent(LineAddr addr, Line &content);
 
     AppProfile profile_;
     Rng rng_;
